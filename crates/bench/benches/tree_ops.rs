@@ -52,7 +52,11 @@ fn bench_trees(c: &mut Criterion) {
     bench_tree(&mut group, NoRestructureTree::new());
     bench_tree(
         &mut group,
-        ShardedMap::optimized(4, sf_stm::StmConfig::ctl()),
+        ShardedMap::<OptSpecFriendlyTree>::spec_friendly(
+            4,
+            sf_stm::StmConfig::ctl(),
+            sf_tree::MaintenanceConfig::default(),
+        ),
     );
     group.finish();
 }

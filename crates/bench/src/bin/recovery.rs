@@ -30,16 +30,18 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use sf_bench::json_enabled;
 use sf_persist::{
-    recover, recover_sharded, sharded_optimized, sharded_portable, DurableMap, TempDir, WalOptions,
+    recover, recover_sharded, sharded_spec_friendly, DurableMap, TempDir, WalOptions,
 };
 use sf_stm::{Stm, StmConfig};
-use sf_tree::{OptSpecFriendlyTree, ShardedMap, TxMap, TxMapVersioned};
+use sf_tree::{
+    FindSpec, MaintenanceConfig, OptSpecFriendlyTree, OptimizedFind, PortableFind, TxMap,
+};
 use sf_workloads::Backend;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -208,24 +210,20 @@ fn mover_child() {
         ..WalOptions::default()
     };
     match backend.as_str() {
-        "sftree" => {
-            let (map, _) =
-                sharded_portable(2, StmConfig::ctl(), &base, options).expect("open sharded WAL");
-            mover_hammer(map);
-        }
-        _ => {
-            let (map, _) =
-                sharded_optimized(2, StmConfig::ctl(), &base, options).expect("open sharded WAL");
-            mover_hammer(map);
-        }
+        "sftree" => mover_hammer::<PortableFind>(&base, options),
+        _ => mover_hammer::<OptimizedFind>(&base, options),
     }
 }
 
-fn mover_hammer<M>(map: ShardedMap<DurableMap<M>>)
-where
-    M: TxMapVersioned + 'static,
-    M::Handle: Send,
-{
+fn mover_hammer<F: FindSpec>(base: &Path, options: WalOptions) {
+    let (map, _) = sharded_spec_friendly::<F>(
+        2,
+        StmConfig::ctl(),
+        base,
+        options,
+        MaintenanceConfig::default().with_hotspot_env(),
+    )
+    .expect("open sharded WAL");
     let mut handle = map.register_sharded();
     // Pick MOVE_PAIRS disjoint key pairs whose halves hash to different
     // shards, so every hammered move crosses a shard-log boundary.

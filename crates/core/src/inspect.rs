@@ -192,7 +192,7 @@ impl<'a> TreeInspect<'a> {
 mod tests {
 
     use crate::map::TxMap;
-    use crate::portable::SpecFriendlyTree;
+    use crate::SpecFriendlyTree;
     use sf_stm::Stm;
 
     #[test]

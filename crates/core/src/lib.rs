@@ -15,14 +15,18 @@
 //!   node-local transactions: height propagation, local rotations, physical
 //!   removal of logically deleted nodes, and quiescence-gated reclamation.
 //!
-//! Two variants are provided, matching the paper's Algorithms 1 and 2:
+//! One type, [`SfTree<F>`](SfTree), implements both of the paper's
+//! Algorithms 1 and 2; its [`FindSpec`] parameter picks the traversal, the
+//! maintenance thread's rotation style and the label. Two aliases name the
+//! variants:
 //!
-//! | | [`SpecFriendlyTree`] (portable) | [`OptSpecFriendlyTree`] (optimized) |
+//! | | [`SpecFriendlyTree`] = `SfTree<`[`PortableFind`]`>` | [`OptSpecFriendlyTree`] = `SfTree<`[`OptimizedFind`]`>` |
 //! |---|---|---|
 //! | traversal | transactional reads | unit reads + O(1) tracked reads |
 //! | rotations | classic, in place | clone-based (Figure 2(c)) |
 //! | removed flag | not needed | `rem` ∈ {false, true, true-by-left-rotation} |
 //! | TM requirements | standard interface only | unit loads (TinySTM-style) |
+//! | label | `SFtree` | `OptSFtree` |
 //!
 //! ## Quick example
 //!
@@ -52,9 +56,8 @@ pub mod inspect;
 pub mod maintenance;
 pub mod map;
 pub mod node;
-mod optimized;
-mod portable;
 pub mod scan;
+mod sftree;
 pub mod sharded;
 mod shared;
 
@@ -68,7 +71,8 @@ pub use map::{
     intern_label, HotReport, ScanOrder, TxMap, TxMapInTx, TxMapVersioned, TxOrderedMapInTx,
 };
 pub use node::{Key, Node, RemState, Side, Value, SENTINEL_KEY};
-pub use optimized::OptSpecFriendlyTree;
-pub use portable::SpecFriendlyTree;
+pub use sftree::{
+    FindSpec, OptSpecFriendlyTree, OptimizedFind, PortableFind, SfTree, SpecFriendlyTree,
+};
 pub use sharded::{ShardParts, ShardedHandle, ShardedMap};
 pub use shared::{SfHandle, TreeStats, DEFAULT_HOT_SAMPLE};

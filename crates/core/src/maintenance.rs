@@ -826,8 +826,9 @@ impl Drop for MaintenanceHandle {
 mod tests {
     use super::*;
     use crate::map::TxMap;
-    use crate::optimized::OptSpecFriendlyTree;
-    use crate::portable::SpecFriendlyTree;
+    use crate::{
+        FindSpec, OptSpecFriendlyTree, OptimizedFind, PortableFind, SfTree, SpecFriendlyTree,
+    };
     use sf_stm::Stm;
 
     #[test]
@@ -962,70 +963,51 @@ mod tests {
         assert_eq!(worker.retired_backlog(), 0, "drained after the op finished");
     }
 
-    #[test]
-    fn hot_passes_lift_a_hammered_key_under_both_styles() {
+    /// Build a 127-key balanced tree of variant `F`, hammer its deepest key,
+    /// run hot passes: `(depth before, depth after, hot rotations)`.
+    fn hot_lift<F: FindSpec>() -> (usize, usize, u64) {
         let hot_config = MaintenanceConfig {
             hotspot_ratio: 2.0,
             hot_min_mass: 16,
             ..MaintenanceConfig::default()
         };
-        for optimized in [false, true] {
-            let stm = Stm::default_config();
-            let (before, after, hot_rotations) = if optimized {
-                let tree = OptSpecFriendlyTree::new();
-                let mut h = tree.register(stm.register());
-                for k in 0..127u64 {
-                    tree.insert(&mut h, k, k);
-                }
-                tree.maintenance_worker(stm.register())
-                    .run_until_stable(256);
-                let deep = (0..127u64)
-                    .max_by_key(|&k| tree.inspect().key_depth(k).unwrap())
-                    .unwrap();
-                let before = tree.inspect().key_depth(deep).unwrap();
-                tree.set_hot_sample(1);
-                for _ in 0..4096 {
-                    tree.get(&mut h, deep);
-                }
-                tree.maintenance_worker_with(stm.register(), hot_config.clone())
-                    .run_until_stable(256);
-                tree.inspect().check_consistency().unwrap();
-                assert_eq!(tree.len_quiescent(), 127);
-                (
-                    before,
-                    tree.inspect().key_depth(deep).unwrap(),
-                    tree.stats().hot_rotations.load(Ordering::Relaxed),
-                )
-            } else {
-                let tree = SpecFriendlyTree::new();
-                let mut h = tree.register(stm.register());
-                for k in 0..127u64 {
-                    tree.insert(&mut h, k, k);
-                }
-                tree.maintenance_worker(stm.register())
-                    .run_until_stable(256);
-                let deep = (0..127u64)
-                    .max_by_key(|&k| tree.inspect().key_depth(k).unwrap())
-                    .unwrap();
-                let before = tree.inspect().key_depth(deep).unwrap();
-                tree.set_hot_sample(1);
-                for _ in 0..4096 {
-                    tree.get(&mut h, deep);
-                }
-                tree.maintenance_worker_with(stm.register(), hot_config.clone())
-                    .run_until_stable(256);
-                tree.inspect().check_consistency().unwrap();
-                assert_eq!(tree.len_quiescent(), 127);
-                (
-                    before,
-                    tree.inspect().key_depth(deep).unwrap(),
-                    tree.stats().hot_rotations.load(Ordering::Relaxed),
-                )
-            };
+        let stm = Stm::default_config();
+        let tree = SfTree::<F>::new();
+        let mut h = tree.register(stm.register());
+        for k in 0..127u64 {
+            tree.insert(&mut h, k, k);
+        }
+        tree.maintenance_worker(stm.register())
+            .run_until_stable(256);
+        let deep = (0..127u64)
+            .max_by_key(|&k| tree.inspect().key_depth(k).unwrap())
+            .unwrap();
+        let before = tree.inspect().key_depth(deep).unwrap();
+        tree.set_hot_sample(1);
+        for _ in 0..4096 {
+            tree.get(&mut h, deep);
+        }
+        tree.maintenance_worker_with(stm.register(), hot_config)
+            .run_until_stable(256);
+        tree.inspect().check_consistency().unwrap();
+        assert_eq!(tree.len_quiescent(), 127);
+        (
+            before,
+            tree.inspect().key_depth(deep).unwrap(),
+            tree.stats().hot_rotations.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn hot_passes_lift_a_hammered_key_under_both_styles() {
+        for (style, (before, after, hot_rotations)) in [
+            ("classic", hot_lift::<PortableFind>()),
+            ("clone-based", hot_lift::<OptimizedFind>()),
+        ] {
             assert!(before >= 5, "127 balanced keys put the deepest at >= 5");
             assert!(
                 after < before,
-                "hot passes must lift the hammered key (optimized={optimized}): \
+                "hot passes must lift the hammered key ({style}): \
                  depth {before} -> {after}"
             );
             assert!(
@@ -1035,97 +1017,71 @@ mod tests {
         }
     }
 
+    /// Insert `keys` (value `k + 1`) into a fresh tree of variant `F`, run
+    /// `config`'s maintenance to a fixed point after `skew` skewed lookups,
+    /// and return the live keys.
+    fn live_after_maintenance<F: FindSpec>(
+        keys: &[u64],
+        skew: u64,
+        config: MaintenanceConfig,
+    ) -> Vec<u64> {
+        let stm = Stm::default_config();
+        let tree = SfTree::<F>::new();
+        let mut h = tree.register(stm.register());
+        tree.set_hot_sample(1);
+        for &k in keys {
+            tree.insert(&mut h, k, k + 1);
+        }
+        // Skewed lookups: a handful of keys take most of the mass.
+        for i in 0..skew {
+            tree.get(&mut h, keys[(i % 13) as usize]);
+        }
+        let mut worker = tree.maintenance_worker_with(stm.register(), config);
+        worker.run_until_stable(512);
+        tree.inspect().check_consistency().unwrap();
+        tree.inspect()
+            .live_entries()
+            .iter()
+            .map(|(k, _)| *k)
+            .collect()
+    }
+
     #[test]
     fn hot_restructuring_with_decay_preserves_entries_and_invariants() {
-        for optimized in [false, true] {
-            let stm = Stm::default_config();
-            let keys: Vec<u64> = (0..200u64).map(|i| (i * 97) % 257).collect();
-            let expected: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
-            let config = MaintenanceConfig {
-                hotspot_ratio: 1.5,
-                hot_min_mass: 8,
-                hot_decay_passes: 4,
-                ..MaintenanceConfig::default()
-            };
-            let live: Vec<u64> = if optimized {
-                let tree = OptSpecFriendlyTree::new();
-                let mut h = tree.register(stm.register());
-                tree.set_hot_sample(1);
-                for &k in &keys {
-                    tree.insert(&mut h, k, k + 1);
-                }
-                // Skewed lookups: a handful of keys take most of the mass.
-                for i in 0..8192u64 {
-                    tree.get(&mut h, keys[(i % 13) as usize]);
-                }
-                let mut worker = tree.maintenance_worker_with(stm.register(), config.clone());
-                worker.run_until_stable(512);
-                tree.inspect().check_consistency().unwrap();
-                tree.inspect()
-                    .live_entries()
-                    .iter()
-                    .map(|(k, _)| *k)
-                    .collect()
-            } else {
-                let tree = SpecFriendlyTree::new();
-                let mut h = tree.register(stm.register());
-                tree.set_hot_sample(1);
-                for &k in &keys {
-                    tree.insert(&mut h, k, k + 1);
-                }
-                for i in 0..8192u64 {
-                    tree.get(&mut h, keys[(i % 13) as usize]);
-                }
-                let mut worker = tree.maintenance_worker_with(stm.register(), config.clone());
-                worker.run_until_stable(512);
-                tree.inspect().check_consistency().unwrap();
-                tree.inspect()
-                    .live_entries()
-                    .iter()
-                    .map(|(k, _)| *k)
-                    .collect()
-            };
-            assert_eq!(live, expected.iter().copied().collect::<Vec<_>>());
-        }
+        let keys: Vec<u64> = (0..200u64).map(|i| (i * 97) % 257).collect();
+        let expected: Vec<u64> = std::collections::BTreeSet::from_iter(keys.iter().copied())
+            .into_iter()
+            .collect();
+        let config = MaintenanceConfig {
+            hotspot_ratio: 1.5,
+            hot_min_mass: 8,
+            hot_decay_passes: 4,
+            ..MaintenanceConfig::default()
+        };
+        assert_eq!(
+            live_after_maintenance::<PortableFind>(&keys, 8192, config.clone()),
+            expected
+        );
+        assert_eq!(
+            live_after_maintenance::<OptimizedFind>(&keys, 8192, config),
+            expected
+        );
     }
 
     #[test]
     fn rotations_preserve_all_entries_under_both_styles() {
-        for optimized in [false, true] {
-            let stm = Stm::default_config();
-            let keys: Vec<u64> = (0..128u64).map(|i| (i * 97) % 131).collect();
-            let expected: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
-            if optimized {
-                let tree = OptSpecFriendlyTree::new();
-                let mut h = tree.register(stm.register());
-                for &k in &keys {
-                    tree.insert(&mut h, k, k + 1);
-                }
-                let mut worker = tree.maintenance_worker(stm.register());
-                worker.run_until_stable(512);
-                let live: Vec<u64> = tree
-                    .inspect()
-                    .live_entries()
-                    .iter()
-                    .map(|(k, _)| *k)
-                    .collect();
-                assert_eq!(live, expected.iter().copied().collect::<Vec<_>>());
-            } else {
-                let tree = SpecFriendlyTree::new();
-                let mut h = tree.register(stm.register());
-                for &k in &keys {
-                    tree.insert(&mut h, k, k + 1);
-                }
-                let mut worker = tree.maintenance_worker(stm.register());
-                worker.run_until_stable(512);
-                let live: Vec<u64> = tree
-                    .inspect()
-                    .live_entries()
-                    .iter()
-                    .map(|(k, _)| *k)
-                    .collect();
-                assert_eq!(live, expected.iter().copied().collect::<Vec<_>>());
-            }
-        }
+        let keys: Vec<u64> = (0..128u64).map(|i| (i * 97) % 131).collect();
+        let expected: Vec<u64> = std::collections::BTreeSet::from_iter(keys.iter().copied())
+            .into_iter()
+            .collect();
+        let config = MaintenanceConfig::default();
+        assert_eq!(
+            live_after_maintenance::<PortableFind>(&keys, 0, config.clone()),
+            expected
+        );
+        assert_eq!(
+            live_after_maintenance::<OptimizedFind>(&keys, 0, config),
+            expected
+        );
     }
 }

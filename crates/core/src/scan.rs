@@ -118,7 +118,7 @@ pub fn bst_range_visit<'env, N: ScanNode + 'env>(
 mod tests {
     use super::*;
     use crate::map::{TxMap, TxOrderedMapInTx};
-    use crate::portable::SpecFriendlyTree;
+    use crate::SpecFriendlyTree;
     use sf_stm::Stm;
 
     #[test]

@@ -85,15 +85,13 @@
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use sf_stm::{StatsSnapshot, Stm, StmConfig, ThreadCtx, Transaction, TxResult};
 
 use crate::maintenance::{MaintenanceConfig, MaintenanceHandle, MaintenancePause};
 use crate::map::{intern_label, TxMap, TxMapInTx};
 use crate::node::{Key, Value};
-use crate::optimized::OptSpecFriendlyTree;
-use crate::portable::SpecFriendlyTree;
+use crate::sftree::{FindSpec, SfTree};
 
 /// Everything one shard needs: the inner map, its private STM instance, and
 /// (optionally) a running maintenance thread for it.
@@ -317,71 +315,23 @@ impl<M: TxMap> ShardedMap<M> {
     }
 }
 
-impl ShardedMap<OptSpecFriendlyTree> {
-    /// A sharded optimized speculation-friendly tree: per shard, one STM
-    /// instance built from `stm_config` and one clone-based maintenance
-    /// thread.
-    pub fn optimized(shard_count: usize, stm_config: StmConfig) -> Self {
-        Self::optimized_with(
-            shard_count,
-            stm_config,
-            MaintenanceConfig {
-                pass_delay: Duration::from_micros(200),
-                ..MaintenanceConfig::default()
-            },
-        )
-    }
-
-    /// Like [`ShardedMap::optimized`] with explicit maintenance tuning.
-    pub fn optimized_with(
+impl<F: FindSpec> ShardedMap<SfTree<F>> {
+    /// A sharded speculation-friendly tree of variant `F`: per shard, one
+    /// STM instance built from `stm_config`, one tree and one maintenance
+    /// thread tuned by `maintenance`.
+    pub fn spec_friendly(
         shard_count: usize,
         stm_config: StmConfig,
-        maintenance_config: MaintenanceConfig,
+        maintenance: MaintenanceConfig,
     ) -> Self {
         Self::new_with(shard_count, |_| {
             let stm = Stm::new(stm_config.clone());
-            let map = Arc::new(OptSpecFriendlyTree::new());
-            let maintenance =
-                map.start_maintenance_with(stm.register(), maintenance_config.clone());
+            let map = Arc::new(SfTree::new());
+            let rotator = map.start_maintenance_with(stm.register(), maintenance.clone());
             ShardParts {
                 stm,
                 map,
-                maintenance: Some(maintenance),
-            }
-        })
-    }
-}
-
-impl ShardedMap<SpecFriendlyTree> {
-    /// A sharded portable speculation-friendly tree: per shard, one STM
-    /// instance built from `stm_config` and one classic-rotation maintenance
-    /// thread.
-    pub fn portable(shard_count: usize, stm_config: StmConfig) -> Self {
-        Self::portable_with(
-            shard_count,
-            stm_config,
-            MaintenanceConfig {
-                pass_delay: Duration::from_micros(200),
-                ..MaintenanceConfig::default()
-            },
-        )
-    }
-
-    /// Like [`ShardedMap::portable`] with explicit maintenance tuning.
-    pub fn portable_with(
-        shard_count: usize,
-        stm_config: StmConfig,
-        maintenance_config: MaintenanceConfig,
-    ) -> Self {
-        Self::new_with(shard_count, |_| {
-            let stm = Stm::new(stm_config.clone());
-            let map = Arc::new(SpecFriendlyTree::new());
-            let maintenance =
-                map.start_maintenance_with(stm.register(), maintenance_config.clone());
-            ShardParts {
-                stm,
-                map,
-                maintenance: Some(maintenance),
+                maintenance: Some(rotator),
             }
         })
     }
@@ -610,10 +560,11 @@ impl<M: TxMap + TxMapInTx> TxMapInTx for ShardedMap<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OptSpecFriendlyTree, SpecFriendlyTree};
     use std::collections::BTreeMap;
 
     fn sharded(shards: usize) -> ShardedMap<OptSpecFriendlyTree> {
-        ShardedMap::optimized(shards, StmConfig::ctl())
+        ShardedMap::spec_friendly(shards, StmConfig::ctl(), MaintenanceConfig::default())
     }
 
     #[test]
@@ -717,10 +668,12 @@ mod tests {
         assert_eq!(sharded(2).name(), "OptSFtree-sharded2");
         // Interning returns the same static str for equal labels.
         assert!(std::ptr::eq(sharded(8).name(), sharded(8).name()));
-        assert_eq!(
-            ShardedMap::portable(2, StmConfig::ctl()).name(),
-            "SFtree-sharded2"
+        let portable = ShardedMap::<SpecFriendlyTree>::spec_friendly(
+            2,
+            StmConfig::ctl(),
+            MaintenanceConfig::default(),
         );
+        assert_eq!(portable.name(), "SFtree-sharded2");
     }
 
     #[test]
@@ -737,6 +690,8 @@ mod tests {
             "expected at least one commit per insert, got {}",
             stats.commits
         );
+        // Parked rotators commit nothing between the reset and the read.
+        let _paused = map.pause_maintenance();
         map.reset_stats();
         assert_eq!(map.stats().commits, 0);
     }

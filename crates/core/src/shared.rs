@@ -1,23 +1,19 @@
-//! State and helpers shared by the portable (Algorithm 1) and optimized
-//! (Algorithm 2) speculation-friendly trees.
+//! The interior a speculation-friendly tree shares with its maintenance
+//! worker and inspectors, whichever traversal it uses.
 //!
-//! Both variants store the same [`Node`] layout in the same arena, create the
-//! tree with a sentinel root of key ∞ (every real key lives in the root's
-//! left subtree, so the root is never rotated or removed — see the paper's
-//! correctness proof §4), and share the post-find logic of the abstract
-//! operations (contains / insert / logical delete). Only the `find` routine
-//! differs, so it is abstracted behind [`FindSpec`].
+//! Both of the paper's variants store the same [`Node`] layout in the same
+//! arena and create the tree with a sentinel root of key ∞ (every real key
+//! lives in the root's left subtree, so the root is never rotated or removed
+//! — see the paper's correctness proof §4).
 
-use std::ops::{ControlFlow, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sf_stm::{TCell, ThreadCtx, Transaction, TxResult};
 
 use crate::arena::{ActivityHandle, NodeId, TxArena};
-use crate::map::ScanOrder;
-use crate::node::{Key, Node, Side, Value, SENTINEL_KEY};
-use crate::scan::{bst_range_visit, ScanNode};
+use crate::node::{Key, Node, Value, SENTINEL_KEY};
+use crate::scan::ScanNode;
 
 /// Counters describing the work performed on a tree, both by abstract
 /// operations and by the background maintenance thread. §5.5 of the paper
@@ -135,90 +131,6 @@ impl TreeCore {
     }
 }
 
-/// The traversal strategy distinguishing Algorithm 1 from Algorithm 2.
-///
-/// `find` returns a node that is either (a) the node carrying `key`, with its
-/// membership-relevant fields protected by transactional reads, or (b) the
-/// node under which `key` would have to be inserted, with the corresponding
-/// (⊥) child pointer protected by a transactional read. Everything else
-/// (contains/insert/delete logic) is common code.
-pub(crate) trait FindSpec {
-    /// Descend from the root towards `key`.
-    fn find<'env>(core: &'env TreeCore, tx: &mut Transaction<'env>, key: Key) -> TxResult<NodeId>;
-}
-
-/// Common lookup: `Some(value)` when the key is present (not logically
-/// deleted).
-pub(crate) fn tx_get_common<'env, F: FindSpec>(
-    core: &'env TreeCore,
-    tx: &mut Transaction<'env>,
-    key: Key,
-) -> TxResult<Option<Value>> {
-    let found = F::find(core, tx, key)?;
-    core.record_access_sampled(found);
-    let node = core.node(found);
-    if node.key() == key && !tx.read(&node.del)? {
-        Ok(Some(tx.read(&node.value)?))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Common insert (paper Algorithm 1, `insert(k, v)`): revive a logically
-/// deleted node or link a fresh node below the returned parent.
-pub(crate) fn tx_insert_common<'env, F: FindSpec>(
-    core: &'env TreeCore,
-    tx: &mut Transaction<'env>,
-    key: Key,
-    value: Value,
-) -> TxResult<bool> {
-    assert!(key != SENTINEL_KEY, "the sentinel key is reserved");
-    let found = F::find(core, tx, key)?;
-    core.record_access_sampled(found);
-    let node = core.node(found);
-    if node.key() == key {
-        if tx.read(&node.del)? {
-            // The key was logically deleted: revive it. This is the only
-            // insert path that does not touch the tree structure.
-            tx.write(&node.del, false)?;
-            tx.write(&node.value, value)?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    } else {
-        // The find ended on a leaf-side ⊥ pointer that it read
-        // transactionally, so linking the new node is conflict-checked.
-        let new_id = core.alloc_fresh(key, value);
-        let arena = Arc::clone(&core.arena);
-        tx.on_abort(move || arena.recycle(new_id));
-        let side = Side::for_key(key, node.key());
-        tx.write(node.child(side), new_id)?;
-        Ok(true)
-    }
-}
-
-/// Common logical delete (paper Algorithm 1, `delete(k)`): flip the deleted
-/// flag; the physical unlink is left to the maintenance thread.
-pub(crate) fn tx_delete_common<'env, F: FindSpec>(
-    core: &'env TreeCore,
-    tx: &mut Transaction<'env>,
-    key: Key,
-) -> TxResult<bool> {
-    let found = F::find(core, tx, key)?;
-    core.record_access_sampled(found);
-    let node = core.node(found);
-    if node.key() != key {
-        return Ok(false);
-    }
-    if tx.read(&node.del)? {
-        Ok(false)
-    } else {
-        tx.write(&node.del, true)?;
-        Ok(true)
-    }
-}
-
 /// The scan hooks of the speculation-friendly node layout, feeding the
 /// generic walker of [`crate::scan`]. Two paper-specific subtleties live
 /// here:
@@ -254,25 +166,6 @@ impl ScanNode for Node {
     fn right_child(&self) -> &TCell<NodeId> {
         &self.right
     }
-}
-
-/// Common ordered range walk shared by both speculation-friendly variants.
-///
-/// Note that the optimized traversal shortcut does **not** apply here:
-/// Algorithm 2's point `find` can use unit reads because it only needs to
-/// pin one node, but a range scan's *result set* must be an atomic
-/// snapshot, so every hop stays in the read set and is revalidated at
-/// commit. The scan read-set cost is therefore `O(path + range)` on both
-/// variants — exactly what `max_scan_read_set` in
-/// [`sf_stm::StatsSnapshot`] measures.
-pub(crate) fn tx_range_visit_common<'env>(
-    core: &'env TreeCore,
-    tx: &mut Transaction<'env>,
-    range: RangeInclusive<Key>,
-    order: ScanOrder,
-    visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
-) -> TxResult<()> {
-    bst_range_visit(|id| core.node(id), core.root, tx, range, order, visit)
 }
 
 /// Per-thread handle of a speculation-friendly tree: the STM context plus the

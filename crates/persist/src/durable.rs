@@ -33,10 +33,9 @@
 //!
 //! A sharded durable map is `ShardedMap<DurableMap<M>>` — **one log per
 //! shard**, preserving the sharded map's property that shards share no
-//! synchronization. [`sharded_optimized`] / [`sharded_portable`] build one
-//! (with per-shard `shard-<i>` directories), [`checkpoint_sharded`]
-//! checkpoints every shard under
-//! [`sf_tree::ShardedMap::pause_maintenance`], and
+//! synchronization. [`sharded_spec_friendly`] builds one (with per-shard
+//! `shard-<i>` directories), [`checkpoint_sharded`] checkpoints every shard
+//! under [`sf_tree::ShardedMap::pause_maintenance`], and
 //! [`crate::recovery::recover_sharded`] merges the per-shard recoveries.
 //!
 //! A **cross-shard move** spans two shard logs, so neither log alone can
@@ -73,14 +72,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use std::time::Duration;
 
 use sf_obs::{EventKind, FlightRecorder, Sampler};
 use sf_stm::{Stm, StmConfig, ThreadCtx, Transaction, TxResult};
 use sf_tree::maintenance::{MaintenanceConfig, MaintenanceHandle};
 use sf_tree::{
-    intern_label, Key, OptSpecFriendlyTree, ShardParts, ShardedHandle, ShardedMap,
-    SpecFriendlyTree, TxMap, TxMapVersioned, Value,
+    intern_label, FindSpec, Key, SfTree, ShardParts, ShardedHandle, ShardedMap, TxMap,
+    TxMapVersioned, Value,
 };
 
 use crate::log::{Wal, WalOptions, WriterMode};
@@ -640,47 +638,21 @@ where
     Ok((map, merged))
 }
 
-/// Maintenance tuning shared by the sharded durable builders (matching
-/// [`ShardedMap::optimized`], honouring the `SF_HOTSPOT` / `SF_HOT_DECAY`
-/// environment knobs).
-fn sharded_maintenance_config() -> MaintenanceConfig {
-    MaintenanceConfig {
-        pass_delay: Duration::from_micros(200),
-        ..MaintenanceConfig::default()
-    }
-    .with_hotspot_env()
-}
-
-/// A sharded durable **optimized** speculation-friendly tree: per shard, one
-/// STM instance, one clone-based maintenance thread, and one log under
-/// `base/shard-<i>`.
-pub fn sharded_optimized(
+/// A sharded durable speculation-friendly tree of variant `F`: per shard, one
+/// STM instance, one tree with a maintenance thread tuned by `maintenance`,
+/// and one log under `base/shard-<i>`.
+pub fn sharded_spec_friendly<F: FindSpec>(
     shards: usize,
     stm_config: StmConfig,
     base: &Path,
     options: WalOptions,
-) -> io::Result<(ShardedMap<DurableMap<OptSpecFriendlyTree>>, Recovery)> {
+    maintenance: MaintenanceConfig,
+) -> io::Result<(ShardedMap<DurableMap<SfTree<F>>>, Recovery)> {
     sharded_with(shards, base, options, |_| {
         let stm = Stm::new(stm_config.clone());
-        let map = Arc::new(OptSpecFriendlyTree::new());
-        let maintenance = map.start_maintenance_with(stm.register(), sharded_maintenance_config());
-        (stm, map, Some(maintenance))
-    })
-}
-
-/// A sharded durable **portable** speculation-friendly tree (classic
-/// in-place rotations per shard).
-pub fn sharded_portable(
-    shards: usize,
-    stm_config: StmConfig,
-    base: &Path,
-    options: WalOptions,
-) -> io::Result<(ShardedMap<DurableMap<SpecFriendlyTree>>, Recovery)> {
-    sharded_with(shards, base, options, |_| {
-        let stm = Stm::new(stm_config.clone());
-        let map = Arc::new(SpecFriendlyTree::new());
-        let maintenance = map.start_maintenance_with(stm.register(), sharded_maintenance_config());
-        (stm, map, Some(maintenance))
+        let map = Arc::new(SfTree::new());
+        let rotator = map.start_maintenance_with(stm.register(), maintenance.clone());
+        (stm, map, Some(rotator))
     })
 }
 

@@ -15,7 +15,7 @@
 //!   group commit, rotation, checkpoint install with atomic rename.
 //! * [`recover`] / [`recover_sharded`] — rebuild `checkpoint + log` into an
 //!   entry set (+ the version the STM clock must resume above).
-//! * [`sharded_optimized`] / [`sharded_portable`] / [`checkpoint_sharded`] —
+//! * [`sharded_spec_friendly`] / [`checkpoint_sharded`] —
 //!   the `ShardedMap<DurableMap<_>>` composition: one log per shard,
 //!   checkpoints under `pause_maintenance`.
 //! * [`stats`] — process-wide WAL counters (records, bytes, batches,
@@ -58,8 +58,8 @@ pub mod tempdir;
 mod durable;
 
 pub use durable::{
-    checkpoint_sharded, sharded_optimized, sharded_portable, sharded_with, CheckpointReport,
-    DurableHandle, DurableMap,
+    checkpoint_sharded, sharded_spec_friendly, sharded_with, CheckpointReport, DurableHandle,
+    DurableMap,
 };
 pub use log::{Wal, WalOptions, WalShared, WriterMode};
 pub use record::{WalOp, WalRecord};

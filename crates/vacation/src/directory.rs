@@ -8,7 +8,7 @@
 //! plus hooks for the reclamation protocol and the §5.5 rotation accounting.
 
 use sf_tree::map::TxMapInTx;
-use sf_tree::{ActivityHandle, Key, Value};
+use sf_tree::{ActivityHandle, FindSpec, Key, SfTree, Value};
 
 /// A tree usable as a vacation table.
 pub trait DirectoryMap: TxMapInTx + Send + Sync + 'static {
@@ -34,7 +34,7 @@ pub trait DirectoryMap: TxMapInTx + Send + Sync + 'static {
     fn label(&self) -> &'static str;
 }
 
-impl DirectoryMap for sf_tree::OptSpecFriendlyTree {
+impl<F: FindSpec> DirectoryMap for SfTree<F> {
     fn register_activity(&self) -> Option<ActivityHandle> {
         Some(self.arena().register_activity())
     }
@@ -45,22 +45,7 @@ impl DirectoryMap for sf_tree::OptSpecFriendlyTree {
         self.inspect().live_entries()
     }
     fn label(&self) -> &'static str {
-        "OptSFtree"
-    }
-}
-
-impl DirectoryMap for sf_tree::SpecFriendlyTree {
-    fn register_activity(&self) -> Option<ActivityHandle> {
-        Some(self.arena().register_activity())
-    }
-    fn rotations_performed(&self) -> u64 {
-        self.stats().rotations()
-    }
-    fn entries_quiescent(&self) -> Vec<(Key, Value)> {
-        self.inspect().live_entries()
-    }
-    fn label(&self) -> &'static str {
-        "SFtree"
+        F::LABEL
     }
 }
 

@@ -41,8 +41,6 @@
 //! blanket switch that enables hot restructuring on every
 //! speculation-friendly backend without renaming (ignored by backends that
 //! have no maintenance thread). `-hot` on a baseline name is an error.
-//! The one unsupported combination is an explicit `-hot` on a *sharded*
-//! `+wal` name — use the `SF_HOTSPOT` blanket switch there instead.
 //!
 //! ## Durability (`+wal`)
 //!
@@ -97,7 +95,7 @@ use sf_obs::{MetricSample, MetricsRegistry, SourceGuard};
 use sf_persist::{DurableMap, WalOptions, WriterMode};
 use sf_stm::{StatsSnapshot, Stm, StmConfig};
 use sf_tree::maintenance::{MaintenanceConfig, MaintenanceHandle};
-use sf_tree::{OptSpecFriendlyTree, ShardedMap, SpecFriendlyTree, TxMap, TxMapVersioned};
+use sf_tree::{FindSpec, OptimizedFind, PortableFind, SfTree, ShardedMap, TxMap, TxMapVersioned};
 use std::time::Duration;
 
 /// A per-thread driving session over some backend: the object-safe
@@ -368,12 +366,12 @@ fn wal_dir_for(base: &str) -> PathBuf {
     root.join(format!("{base}+wal-{n}"))
 }
 
-/// Maintenance tuning applied to the speculation-friendly backends built by
-/// the registry (matching the historical harness setting). `hot` — from an
-/// explicit `-hot` name — forces hot-key restructuring on with its default
-/// tuning; either way the `SF_HOTSPOT` / `SF_HOT_DECAY` environment knobs
-/// apply on top.
-fn registry_maintenance_config_hot(hot: bool) -> MaintenanceConfig {
+/// Maintenance tuning the registry gives its speculation-friendly backends
+/// (a 200 µs pause between passes keeps the rotators from starving mutators
+/// on small hosts). `hot` — from an explicit `-hot` name — forces hot-key
+/// restructuring on with its default tuning; either way the `SF_HOTSPOT` /
+/// `SF_HOT_DECAY` environment knobs apply on top.
+fn maintenance_config(hot: bool) -> MaintenanceConfig {
     let base = MaintenanceConfig {
         pass_delay: Duration::from_micros(200),
         ..MaintenanceConfig::default()
@@ -385,11 +383,19 @@ fn registry_maintenance_config_hot(hot: bool) -> MaintenanceConfig {
     }
 }
 
+/// Where a `+wal` backend logs and how: its fresh directory and tuning.
+type WalTarget = Option<(PathBuf, WalOptions)>;
+
 impl Backend {
     /// Resolve a structure name (see the [module docs](self) for the table)
     /// to a ready-to-drive backend. Speculation-friendly backends start
     /// their maintenance thread(s) here; dropping the returned backend stops
-    /// them.
+    /// them. `+wal` names log under a fresh directory tuned by the `SF_WAL_*`
+    /// environment (see the [module docs](self)).
+    ///
+    /// # Panics
+    /// Panics when a `+wal` log directory cannot be created or written —
+    /// durability was requested and the environment cannot provide it.
     pub fn build(name: &str, stm_config: StmConfig) -> Result<Backend, UnknownBackend> {
         let name = name.trim();
         let (name, wal) = match name.strip_suffix("+wal") {
@@ -409,10 +415,41 @@ impl Backend {
                 name: format!("{name}-hot (hot restructuring needs a speculation-friendly tree)"),
             });
         }
-        let mut backend = if wal {
-            Backend::build_wal(name, hot, stm_config)?
+        let wal = wal.then(|| (wal_dir_for(name), wal_options_from_env()));
+        let maintenance = maintenance_config(hot);
+        let mut backend = if let Some(shards) = parse_sharded(name, "sftree-opt-sharded") {
+            Backend::sharded::<OptimizedFind>(shards, stm_config, maintenance, wal)
+        } else if let Some(shards) = parse_sharded(name, "sftree-sharded") {
+            Backend::sharded::<PortableFind>(shards, stm_config, maintenance, wal)
         } else {
-            Backend::build_plain(name, hot, stm_config)?
+            let stm = Stm::new(stm_config);
+            match name {
+                "rbtree" => Backend::single(Arc::new(RedBlackTree::new()), stm, Vec::new(), wal),
+                "avl" => Backend::single(Arc::new(AvlTree::new()), stm, Vec::new(), wal),
+                "nrtree" => {
+                    Backend::single(Arc::new(NoRestructureTree::new()), stm, Vec::new(), wal)
+                }
+                "ziptree" => Backend::single(Arc::new(ZipTree::new()), stm, Vec::new(), wal),
+                "sftree" => Backend::spec_friendly::<PortableFind>(stm, maintenance, wal),
+                "sftree-opt" => Backend::spec_friendly::<OptimizedFind>(stm, maintenance, wal),
+                "seq" if wal.is_none() => {
+                    Backend::assemble(Arc::new(SeqMap::new()), vec![stm], Vec::new())
+                }
+                "seq" => {
+                    return Err(UnknownBackend {
+                        name: "seq+wal (the sequential baseline has no commit point to log)"
+                            .to_string(),
+                    })
+                }
+                _ => {
+                    return Err(UnknownBackend {
+                        name: match wal {
+                            Some(_) => format!("{name}+wal"),
+                            None => name.to_string(),
+                        },
+                    })
+                }
+            }
         };
         if hot {
             backend.label.push_str("-hot");
@@ -420,162 +457,65 @@ impl Backend {
         Ok(backend)
     }
 
-    /// Build a non-durable backend; `hot` forces hot-key restructuring on
-    /// for speculation-friendly names.
-    fn build_plain(
-        name: &str,
-        hot: bool,
-        stm_config: StmConfig,
-    ) -> Result<Backend, UnknownBackend> {
-        if let Some(shards) = parse_sharded(name, "sftree-opt-sharded") {
-            let map = ShardedMap::optimized_with(
-                shards,
-                stm_config,
-                registry_maintenance_config_hot(hot),
-            );
-            return Ok(Backend::assemble_sharded(Arc::new(map)));
-        }
-        if let Some(shards) = parse_sharded(name, "sftree-sharded") {
-            let map =
-                ShardedMap::portable_with(shards, stm_config, registry_maintenance_config_hot(hot));
-            return Ok(Backend::assemble_sharded(Arc::new(map)));
-        }
-        let stm = Stm::new(stm_config);
-        match name {
-            "rbtree" => Ok(Backend::assemble(
-                Arc::new(RedBlackTree::new()),
-                vec![stm],
-                Vec::new(),
-            )),
-            "avl" => Ok(Backend::assemble(
-                Arc::new(AvlTree::new()),
-                vec![stm],
-                Vec::new(),
-            )),
-            "nrtree" => Ok(Backend::assemble(
-                Arc::new(NoRestructureTree::new()),
-                vec![stm],
-                Vec::new(),
-            )),
-            "seq" => Ok(Backend::assemble(
-                Arc::new(SeqMap::new()),
-                vec![stm],
-                Vec::new(),
-            )),
-            "ziptree" => Ok(Backend::assemble(
-                Arc::new(ZipTree::new()),
-                vec![stm],
-                Vec::new(),
-            )),
-            "sftree" => {
-                let map = Arc::new(SpecFriendlyTree::new());
-                let maintenance = map
-                    .start_maintenance_with(stm.register(), registry_maintenance_config_hot(hot));
-                Ok(Backend::assemble(map, vec![stm], vec![maintenance]))
+    /// A single-STM speculation-friendly tree of variant `F` with its
+    /// rotator running.
+    fn spec_friendly<F: FindSpec>(
+        stm: Arc<Stm>,
+        maintenance: MaintenanceConfig,
+        wal: WalTarget,
+    ) -> Backend {
+        let map = Arc::new(SfTree::<F>::new());
+        let rotator = map.start_maintenance_with(stm.register(), maintenance);
+        Backend::single(map, stm, vec![rotator], wal)
+    }
+
+    /// A single-STM backend over `map`, behind the WAL when `wal` names a
+    /// log directory.
+    fn single<M>(
+        map: Arc<M>,
+        stm: Arc<Stm>,
+        maintenance: Vec<MaintenanceHandle>,
+        wal: WalTarget,
+    ) -> Backend
+    where
+        M: TxMapVersioned + 'static,
+        M::Handle: Send + 'static,
+    {
+        match wal {
+            None => Backend::assemble(map, vec![stm], maintenance),
+            Some((dir, options)) => {
+                let (map, _recovery) = DurableMap::open(map, &stm, &dir, options)
+                    .unwrap_or_else(|e| panic!("opening WAL directory {dir:?}: {e}"));
+                Backend::assemble(Arc::new(map), vec![stm], maintenance)
             }
-            "sftree-opt" => {
-                let map = Arc::new(OptSpecFriendlyTree::new());
-                let maintenance = map
-                    .start_maintenance_with(stm.register(), registry_maintenance_config_hot(hot));
-                Ok(Backend::assemble(map, vec![stm], vec![maintenance]))
-            }
-            _ => Err(UnknownBackend {
-                name: name.to_string(),
-            }),
         }
     }
 
-    /// Build the `+wal` (durable) variant of `base`. The log directory and
-    /// tuning come from the `SF_WAL_*` environment (see the
-    /// [module docs](self)).
-    ///
-    /// # Panics
-    /// Panics when the log directory cannot be created or written —
-    /// durability was requested and the environment cannot provide it.
-    fn build_wal(base: &str, hot: bool, stm_config: StmConfig) -> Result<Backend, UnknownBackend> {
-        let options = wal_options_from_env();
-        let dir = wal_dir_for(base);
-        let open_failed =
-            |error: std::io::Error| -> ! { panic!("opening WAL directory {dir:?}: {error}") };
-        if let Some(shards) = parse_sharded(base, "sftree-opt-sharded") {
-            if hot {
-                return Err(sharded_wal_hot_unsupported(base));
-            }
-            let (map, _recovery) = sf_persist::sharded_optimized(shards, stm_config, &dir, options)
-                .unwrap_or_else(|e| open_failed(e));
-            return Ok(Backend::assemble_sharded(Arc::new(map)));
-        }
-        if let Some(shards) = parse_sharded(base, "sftree-sharded") {
-            if hot {
-                return Err(sharded_wal_hot_unsupported(base));
-            }
-            let (map, _recovery) = sf_persist::sharded_portable(shards, stm_config, &dir, options)
-                .unwrap_or_else(|e| open_failed(e));
-            return Ok(Backend::assemble_sharded(Arc::new(map)));
-        }
-        let stm = Stm::new(stm_config);
-        fn durable<M>(
-            map: Arc<M>,
-            stm: Arc<Stm>,
-            dir: PathBuf,
-            options: WalOptions,
-            maintenance: Vec<MaintenanceHandle>,
-        ) -> Backend
-        where
-            M: TxMapVersioned + 'static,
-            M::Handle: Send + 'static,
-        {
-            let (map, _recovery) = DurableMap::open(map, &stm, &dir, options)
+    /// A `shards`-way sharded speculation-friendly tree of variant `F`, with
+    /// one log per shard when `wal` names a base directory.
+    fn sharded<F: FindSpec>(
+        shards: usize,
+        stm_config: StmConfig,
+        maintenance: MaintenanceConfig,
+        wal: WalTarget,
+    ) -> Backend {
+        match wal {
+            None => Backend::assemble_sharded(Arc::new(ShardedMap::<SfTree<F>>::spec_friendly(
+                shards,
+                stm_config,
+                maintenance,
+            ))),
+            Some((dir, options)) => {
+                let (map, _recovery) = sf_persist::sharded_spec_friendly::<F>(
+                    shards,
+                    stm_config,
+                    &dir,
+                    options,
+                    maintenance,
+                )
                 .unwrap_or_else(|e| panic!("opening WAL directory {dir:?}: {e}"));
-            Backend::assemble(Arc::new(map), vec![stm], maintenance)
-        }
-        match base {
-            "rbtree" => Ok(durable(
-                Arc::new(RedBlackTree::new()),
-                stm,
-                dir,
-                options,
-                Vec::new(),
-            )),
-            "avl" => Ok(durable(
-                Arc::new(AvlTree::new()),
-                stm,
-                dir,
-                options,
-                Vec::new(),
-            )),
-            "nrtree" => Ok(durable(
-                Arc::new(NoRestructureTree::new()),
-                stm,
-                dir,
-                options,
-                Vec::new(),
-            )),
-            "ziptree" => Ok(durable(
-                Arc::new(ZipTree::new()),
-                stm,
-                dir,
-                options,
-                Vec::new(),
-            )),
-            "sftree" => {
-                let map = Arc::new(SpecFriendlyTree::new());
-                let maintenance = map
-                    .start_maintenance_with(stm.register(), registry_maintenance_config_hot(hot));
-                Ok(durable(map, stm, dir, options, vec![maintenance]))
+                Backend::assemble_sharded(Arc::new(map))
             }
-            "sftree-opt" => {
-                let map = Arc::new(OptSpecFriendlyTree::new());
-                let maintenance = map
-                    .start_maintenance_with(stm.register(), registry_maintenance_config_hot(hot));
-                Ok(durable(map, stm, dir, options, vec![maintenance]))
-            }
-            "seq" => Err(UnknownBackend {
-                name: "seq+wal (the sequential baseline has no commit point to log)".to_string(),
-            }),
-            _ => Err(UnknownBackend {
-                name: format!("{base}+wal"),
-            }),
         }
     }
 
@@ -714,20 +654,15 @@ impl Backend {
     }
 }
 
-/// Explicit `-hot` on a sharded `+wal` name: the durable sharded builders
-/// own their maintenance tuning, so only the `SF_HOTSPOT` blanket switch
-/// reaches them.
-fn sharded_wal_hot_unsupported(base: &str) -> UnknownBackend {
-    UnknownBackend {
-        name: format!("{base}-hot+wal (set SF_HOTSPOT=1 instead for sharded durable backends)"),
-    }
-}
-
-/// Parse `<prefix><N>` into `N`.
+/// Parse `<prefix><N>` into `N`. Only the canonical decimal spelling of a
+/// count >= 1 is accepted (no sign, no leading zero), so the built label
+/// `…-sharded<N>` names the backend it came from.
 fn parse_sharded(name: &str, prefix: &str) -> Option<usize> {
-    let rest = name.strip_prefix(prefix)?;
-    let shards: usize = rest.parse().ok()?;
-    (shards >= 1).then_some(shards)
+    let digits = name.strip_prefix(prefix)?;
+    if digits.starts_with('0') || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -775,8 +710,20 @@ mod tests {
         let err = Backend::build("btree-of-dreams", StmConfig::ctl()).unwrap_err();
         assert_eq!(err.name, "btree-of-dreams");
         assert!(err.to_string().contains("sftree-opt-sharded<N>"));
-        assert!(Backend::build("sftree-opt-sharded0", StmConfig::ctl()).is_err());
-        assert!(Backend::build("sftree-opt-shardedx", StmConfig::ctl()).is_err());
+        // Shard counts must be canonical decimals >= 1: a sign or a leading
+        // zero would build a backend whose `-sharded<N>` label names another.
+        for name in [
+            "sftree-opt-sharded0",
+            "sftree-opt-shardedx",
+            "sftree-opt-sharded",
+            "sftree-opt-sharded+4",
+            "sftree-opt-sharded04",
+            "sftree-sharded+2",
+            "sftree-sharded02",
+        ] {
+            let err = Backend::build(name, StmConfig::ctl()).unwrap_err();
+            assert_eq!(err.name, name);
+        }
     }
 
     #[test]
@@ -816,6 +763,8 @@ mod tests {
             ("sftree-opt-hot", "OptSFtree-hot"),
             ("sftree-opt-sharded2-hot", "OptSFtree-sharded2-hot"),
             ("sftree-opt-hot+wal", "OptSFtree+wal-hot"),
+            ("sftree-opt-sharded2-hot+wal", "OptSFtree+wal-sharded2-hot"),
+            ("sftree-sharded2-hot+wal", "SFtree+wal-sharded2-hot"),
         ] {
             let backend = Backend::build(name, StmConfig::ctl()).unwrap();
             assert_eq!(backend.label(), label, "label for {name}");
@@ -829,9 +778,6 @@ mod tests {
             let err = Backend::build(name, StmConfig::ctl()).unwrap_err();
             assert!(err.to_string().contains("speculation-friendly"), "{err}");
         }
-        // Sharded durable backends take SF_HOTSPOT instead of the suffix.
-        let err = Backend::build("sftree-opt-sharded2-hot+wal", StmConfig::ctl()).unwrap_err();
-        assert!(err.name.contains("SF_HOTSPOT"), "{err}");
     }
 
     #[test]
@@ -861,7 +807,11 @@ mod tests {
             session.insert(key, key);
         }
         assert!(backend.stats().commits >= 32);
+        // The shards' rotators keep committing after the reset, but never
+        // read-only scans: `len` is one scan per shard, summed over both.
         backend.reset_stats();
-        assert_eq!(backend.stats().commits, 0);
+        assert_eq!(backend.stats().scan_commits, 0);
+        session.len();
+        assert_eq!(backend.stats().scan_commits, 2);
     }
 }

@@ -6,8 +6,9 @@
 //! depend on a single crate:
 //!
 //! * [`stm`] — the word-based STM substrate (TinySTM/E-STM style),
-//! * [`tree`] — the speculation-friendly binary search tree (portable and
-//!   optimized variants) with its background maintenance thread,
+//! * [`tree`] — the speculation-friendly binary search tree (one type,
+//!   `SfTree<F>`, with portable and optimized variants) with its background
+//!   maintenance thread,
 //! * [`baselines`] — the transaction-encapsulated red-black tree, AVL tree,
 //!   no-restructuring tree and a sequential reference map,
 //! * [`workloads`] — the synchrobench-style integer-set micro-benchmark,
@@ -36,14 +37,20 @@
 //!
 //! [`ShardedMap`](tree::ShardedMap) hash-partitions the key space over `N`
 //! inner trees, each with its **own STM instance** (no shared version clock)
-//! and its **own maintenance thread**, while keeping the same [`TxMap`]
-//! interface — including atomic cross-shard `move_entry`:
+//! and its **own maintenance thread**, while keeping the same
+//! [`TxMap`](tree::TxMap) interface — including atomic cross-shard
+//! `move_entry`. The tree variant is named by type:
 //!
 //! ```
 //! use speculation_friendly_tree::prelude::*;
 //!
-//! // 8 shards, TinySTM-CTL-style STM per shard, one rotator per shard.
-//! let map = ShardedMap::optimized(8, StmConfig::ctl());
+//! // 8 optimized shards, TinySTM-CTL-style STM per shard, one rotator per
+//! // shard.
+//! let map = ShardedMap::<OptSpecFriendlyTree>::spec_friendly(
+//!     8,
+//!     StmConfig::ctl(),
+//!     MaintenanceConfig::default(),
+//! );
 //! let mut handle = map.register_sharded();
 //! assert!(map.insert(&mut handle, 7, 700));
 //! assert!(map.move_entry(&mut handle, 7, 1_000_000)); // may cross shards

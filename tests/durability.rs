@@ -16,14 +16,29 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use sf_persist::record::{read_frame, scan_segment, WalOp};
 use sf_persist::{
-    checkpoint_sharded, recover, recover_sharded, shard_dir, sharded_optimized, DurableHandle,
-    DurableMap, TempDir, WalOptions,
+    checkpoint_sharded, recover, recover_sharded, shard_dir, sharded_spec_friendly, DurableHandle,
+    DurableMap, Recovery, TempDir, WalOptions,
 };
 use sf_stm::{Stm, StmConfig};
-use sf_tree::maintenance::MaintenanceHandle;
-use sf_tree::{TxMap, TxMapVersioned};
+use sf_tree::maintenance::{MaintenanceConfig, MaintenanceHandle};
+use sf_tree::{OptimizedFind, ShardedMap, TxMap, TxMapVersioned};
 use speculation_friendly_tree::baselines::{AvlTree, NoRestructureTree, RedBlackTree};
 use speculation_friendly_tree::tree::{OptSpecFriendlyTree, SpecFriendlyTree};
+
+/// Open (recovering) a `shards`-way durable optimized tree under `base`.
+fn open_sharded(
+    shards: usize,
+    base: &std::path::Path,
+    options: WalOptions,
+) -> std::io::Result<(ShardedMap<DurableMap<OptSpecFriendlyTree>>, Recovery)> {
+    sharded_spec_friendly::<OptimizedFind>(
+        shards,
+        StmConfig::ctl(),
+        base,
+        options,
+        MaintenanceConfig::default(),
+    )
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -165,7 +180,7 @@ proptest! {
 
         // The sharded composition: one log per shard, merged recovery.
         let dir = TempDir::new("dur-sharded");
-        let (map, _) = sharded_optimized(2, StmConfig::ctl(), dir.path(), WalOptions::default())
+        let (map, _) = open_sharded(2, dir.path(), WalOptions::default())
             .expect("open sharded WAL");
         let mut handle = map.register_sharded();
         let mut oracle = BTreeMap::new();
@@ -422,8 +437,7 @@ fn pure_move_workload_auto_checkpoints_via_the_deferred_trigger() {
         auto_checkpoint: 12,
         ..WalOptions::default()
     };
-    let (map, _) =
-        sharded_optimized(2, StmConfig::ctl(), dir.path(), options).expect("open sharded WAL");
+    let (map, _) = open_sharded(2, dir.path(), options).expect("open sharded WAL");
     let mut handle = map.register_sharded();
     let a = 1u64;
     let b = (2..1000u64)
@@ -569,8 +583,7 @@ const ANCHOR_VALUE: u64 = 4242;
 
 fn cross_move_fixture() -> CrossMoveFixture {
     let dir = TempDir::new("dur-xmove-fixture");
-    let (map, _) = sharded_optimized(2, StmConfig::ctl(), dir.path(), WalOptions::default())
-        .expect("open sharded WAL");
+    let (map, _) = open_sharded(2, dir.path(), WalOptions::default()).expect("open sharded WAL");
     let mut handle = map.register_sharded();
     let a = 1u64;
     let b = (2..1000u64)
@@ -795,8 +808,7 @@ fn reopen_durably_neutralizes_an_interrupted_cross_shard_move() {
     // forward — the source still held the value) and appends the fix.
     {
         let (map, resumed) =
-            sharded_optimized(2, StmConfig::ctl(), base.path(), WalOptions::default())
-                .expect("reopen sharded");
+            open_sharded(2, base.path(), WalOptions::default()).expect("reopen sharded");
         assert_eq!(resumed.moves_resolved, 1);
         let recovered: BTreeMap<u64, u64> = resumed.entries.iter().copied().collect();
         assert_eq!(recovered.get(&fixture.b), Some(&MOVED_VALUE));
@@ -825,11 +837,14 @@ fn reopen_durably_neutralizes_an_interrupted_cross_shard_move() {
 #[test]
 fn reopen_honors_a_durable_rollback_retraction() {
     use sf_persist::{Wal, WalOp, WalRecord};
-    use sf_tree::ShardedMap;
 
     // Shard routing is a pure function of the key and shard count; a
     // throwaway in-memory map computes it.
-    let probe = ShardedMap::optimized(2, StmConfig::ctl());
+    let probe = ShardedMap::<OptSpecFriendlyTree>::spec_friendly(
+        2,
+        StmConfig::ctl(),
+        MaintenanceConfig::default(),
+    );
     let a = 1u64;
     let b = (2..1000u64)
         .find(|&k| probe.shard_of(k) != probe.shard_of(a))
@@ -896,8 +911,7 @@ fn reopen_honors_a_durable_rollback_retraction() {
     let expected = vec![(b, 77)];
     {
         let (_map, resumed) =
-            sharded_optimized(2, StmConfig::ctl(), base.path(), WalOptions::default())
-                .expect("reopen sharded");
+            open_sharded(2, base.path(), WalOptions::default()).expect("reopen sharded");
         assert_eq!(resumed.moves_resolved, 1);
         assert_eq!(resumed.entries, expected, "the client insert survives");
     }
@@ -923,18 +937,16 @@ fn reopen_honors_a_durable_rollback_retraction() {
 fn crashed_first_open_does_not_brick_the_directory() {
     let base = TempDir::new("dur-first-crash");
     {
-        let _ = sharded_optimized(2, StmConfig::ctl(), base.path(), WalOptions::default())
-            .expect("first open");
+        let _ = open_sharded(2, base.path(), WalOptions::default()).expect("first open");
     }
     // Simulate the crash having hit before shard 1 was created (its empty
     // segment file and directory never made it to disk).
     std::fs::remove_dir_all(shard_dir(base.path(), 1)).unwrap();
     let (_map, resumed) =
-        sharded_optimized(2, StmConfig::ctl(), base.path(), WalOptions::default())
-            .expect("the declared layout reopens");
+        open_sharded(2, base.path(), WalOptions::default()).expect("the declared layout reopens");
     assert!(resumed.entries.is_empty());
     assert!(
-        sharded_optimized(4, StmConfig::ctl(), base.path(), WalOptions::default()).is_err(),
+        open_sharded(4, base.path(), WalOptions::default()).is_err(),
         "the marker keeps count mismatches loud"
     );
 }
@@ -945,8 +957,8 @@ fn crashed_first_open_does_not_brick_the_directory() {
 fn sharded_open_rejects_a_mismatched_shard_count() {
     let base = TempDir::new("dur-shardcount");
     {
-        let (map, _) = sharded_optimized(2, StmConfig::ctl(), base.path(), WalOptions::default())
-            .expect("open sharded WAL");
+        let (map, _) =
+            open_sharded(2, base.path(), WalOptions::default()).expect("open sharded WAL");
         let mut handle = map.register_sharded();
         for key in 0..32u64 {
             map.insert(&mut handle, key, key);
@@ -955,11 +967,11 @@ fn sharded_open_rejects_a_mismatched_shard_count() {
     let err = recover_sharded(base.path(), 1).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(
-        sharded_optimized(3, StmConfig::ctl(), base.path(), WalOptions::default()).is_err(),
+        open_sharded(3, base.path(), WalOptions::default()).is_err(),
         "reopening with a different shard count must fail loudly"
     );
-    let (map, resumed) = sharded_optimized(2, StmConfig::ctl(), base.path(), WalOptions::default())
-        .expect("matching count reopens");
+    let (map, resumed) =
+        open_sharded(2, base.path(), WalOptions::default()).expect("matching count reopens");
     assert_eq!(resumed.entries.len(), 32);
     drop(map);
 }

@@ -171,7 +171,11 @@ fn scans_do_not_observe_logically_deleted_keys_mid_backlog() {
 
 #[test]
 fn sharded_range_quiescent_is_exact_and_merge_is_sorted() {
-    let map = ShardedMap::optimized(3, StmConfig::ctl());
+    let map = ShardedMap::<OptSpecFriendlyTree>::spec_friendly(
+        3,
+        StmConfig::ctl(),
+        MaintenanceConfig::default(),
+    );
     let mut handle = map.register_sharded();
     let mut oracle = BTreeMap::new();
     let mut state = 0x5eed_1234_u64;

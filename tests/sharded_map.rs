@@ -31,6 +31,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// An optimized sharded tree with default maintenance tuning.
+fn sharded(shards: usize) -> ShardedMap<OptSpecFriendlyTree> {
+    ShardedMap::spec_friendly(shards, StmConfig::ctl(), MaintenanceConfig::default())
+}
+
 /// Apply one op; booleans/options encode every observable answer.
 fn apply<M: TxMap>(map: &M, handle: &mut M::Handle, op: Op) -> (bool, Option<u64>) {
     match op {
@@ -51,7 +56,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..150),
         shards in 1usize..6,
     ) {
-        let sharded = ShardedMap::optimized(shards, StmConfig::ctl());
+        let sharded = sharded(shards);
         let mut sharded_handle = sharded.register_sharded();
         let oracle = SeqMap::new();
         let oracle_stm = Stm::default_config();
@@ -87,7 +92,7 @@ fn concurrent_cross_shard_moves_never_lose_or_duplicate_keys() {
     const THREADS: u64 = 4;
     const MOVES_PER_THREAD: u64 = 3_000;
 
-    let map = Arc::new(ShardedMap::optimized(8, StmConfig::ctl()));
+    let map = Arc::new(sharded(8));
     let mut handle = map.register_sharded();
     let initial_tokens: BTreeSet<u64> = (0..SLOTS).step_by(4).collect();
     for &slot in &initial_tokens {
@@ -193,7 +198,7 @@ fn mixed_value_accounting_round(round: u64) {
     const THREADS: u64 = 8;
     const OPS_PER_THREAD: u64 = 12_000;
 
-    let map = Arc::new(ShardedMap::optimized(8, StmConfig::ctl()));
+    let map = Arc::new(sharded(8));
     let workers: Vec<_> = (0..THREADS)
         .map(|thread| {
             let map = Arc::clone(&map);
@@ -278,7 +283,7 @@ fn concurrent_disjoint_moves_preserve_every_token() {
     const TOKENS_PER_THREAD: u64 = 32;
     const ROUNDS: u64 = 400;
 
-    let map = Arc::new(ShardedMap::optimized(4, StmConfig::ctl()));
+    let map = Arc::new(sharded(4));
     let workers: Vec<_> = (0..THREADS)
         .map(|thread| {
             let map = Arc::clone(&map);
