@@ -55,7 +55,7 @@ fn bench_trees(c: &mut Criterion) {
         ShardedMap::<OptSpecFriendlyTree>::spec_friendly(
             4,
             sf_stm::StmConfig::ctl(),
-            sf_tree::MaintenanceConfig::default(),
+            sf_workloads::backend::maintenance_config(false),
         ),
     );
     group.finish();

@@ -39,9 +39,8 @@ use sf_persist::{
     recover, recover_sharded, sharded_spec_friendly, DurableMap, TempDir, WalOptions,
 };
 use sf_stm::{Stm, StmConfig};
-use sf_tree::{
-    FindSpec, MaintenanceConfig, OptSpecFriendlyTree, OptimizedFind, PortableFind, TxMap,
-};
+use sf_tree::{FindSpec, OptSpecFriendlyTree, OptimizedFind, PortableFind, TxMap};
+use sf_workloads::backend::maintenance_config;
 use sf_workloads::Backend;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -221,7 +220,7 @@ fn mover_hammer<F: FindSpec>(base: &Path, options: WalOptions) {
         StmConfig::ctl(),
         base,
         options,
-        MaintenanceConfig::default().with_hotspot_env(),
+        maintenance_config(false),
     )
     .expect("open sharded WAL");
     let mut handle = map.register_sharded();

@@ -96,8 +96,12 @@ pub trait TxMapInTx: Send + Sync {
         if !self.tx_insert(tx, to, value)? {
             return Ok(false);
         }
-        let removed = self.tx_delete(tx, from)?;
-        debug_assert!(removed, "source key vanished inside the same transaction");
+        if !self.tx_delete(tx, from)? {
+            // Only a doomed attempt loses the source it just read (e.g. a
+            // unit-read descent that reached nodes newer than its snapshot);
+            // commit validation would reject it, so retry now.
+            return tx.retry();
+        }
         Ok(true)
     }
 }

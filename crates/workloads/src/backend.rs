@@ -370,8 +370,10 @@ fn wal_dir_for(base: &str) -> PathBuf {
 /// (a 200 µs pause between passes keeps the rotators from starving mutators
 /// on small hosts). `hot` — from an explicit `-hot` name — forces hot-key
 /// restructuring on with its default tuning; either way the `SF_HOTSPOT` /
-/// `SF_HOT_DECAY` environment knobs apply on top.
-fn maintenance_config(hot: bool) -> MaintenanceConfig {
+/// `SF_HOT_DECAY` environment knobs apply on top. Harnesses that build a
+/// speculation-friendly map directly use this too, so their trees rotate
+/// like the registry's.
+pub fn maintenance_config(hot: bool) -> MaintenanceConfig {
     let base = MaintenanceConfig {
         pass_delay: Duration::from_micros(200),
         ..MaintenanceConfig::default()
@@ -809,6 +811,8 @@ mod tests {
         assert!(backend.stats().commits >= 32);
         // The shards' rotators keep committing after the reset, but never
         // read-only scans: `len` is one scan per shard, summed over both.
+        session.len();
+        assert_eq!(backend.stats().scan_commits, 2);
         backend.reset_stats();
         assert_eq!(backend.stats().scan_commits, 0);
         session.len();
