@@ -6,142 +6,29 @@
 //! runs, so the tree silently degenerates under biased workloads — exactly
 //! the behaviour Figure 3 (right column) exhibits.
 
-use std::ops::{ControlFlow, RangeInclusive};
+use sf_stm::{Transaction, TxResult};
+use sf_tree::{FindSpec, Key, MaintenanceStyle, Node, NodeId, PortableFind, SfTree, TxArena};
 
-use sf_stm::{ThreadCtx, Transaction, TxResult};
-use sf_tree::map::{ScanOrder, TxMap, TxMapInTx, TxMapVersioned, TxOrderedMapInTx};
-use sf_tree::{Key, SfHandle, SpecFriendlyTree, TreeInspect, Value};
+/// No-restructuring tree: the portable speculation-friendly tree
+/// (Algorithm 1's traversal) whose maintenance thread is never started.
+pub type NoRestructureTree = SfTree<NoRestructureFind>;
 
-/// No-restructuring tree: a speculation-friendly tree whose maintenance
-/// thread is never started.
-#[derive(Debug, Default)]
-pub struct NoRestructureTree {
-    inner: SpecFriendlyTree,
-}
+/// The NRtree's [`FindSpec`]: Algorithm 1's traversal under its own label.
+/// The rotation style is moot — nothing starts a maintenance worker.
+#[derive(Debug)]
+pub struct NoRestructureFind;
 
-impl NoRestructureTree {
-    /// Create an empty tree.
-    pub fn new() -> Self {
-        NoRestructureTree {
-            inner: SpecFriendlyTree::new(),
-        }
-    }
+impl FindSpec for NoRestructureFind {
+    const STYLE: MaintenanceStyle = MaintenanceStyle::Classic;
+    const LABEL: &'static str = "NRtree";
 
-    /// Register a worker thread.
-    pub fn register(&self, ctx: ThreadCtx) -> SfHandle {
-        self.inner.register(ctx)
-    }
-
-    /// Quiescent inspection helpers.
-    pub fn inspect(&self) -> TreeInspect<'_> {
-        self.inner.inspect()
-    }
-}
-
-impl TxMapInTx for NoRestructureTree {
-    fn tx_get<'env>(&'env self, tx: &mut Transaction<'env>, key: Key) -> TxResult<Option<Value>> {
-        self.inner.tx_get(tx, key)
-    }
-
-    fn tx_insert<'env>(
-        &'env self,
+    fn find<'env>(
+        nodes: &'env TxArena<Node>,
+        root: NodeId,
         tx: &mut Transaction<'env>,
         key: Key,
-        value: Value,
-    ) -> TxResult<bool> {
-        self.inner.tx_insert(tx, key, value)
-    }
-
-    fn tx_delete<'env>(&'env self, tx: &mut Transaction<'env>, key: Key) -> TxResult<bool> {
-        self.inner.tx_delete(tx, key)
-    }
-}
-
-impl TxOrderedMapInTx for NoRestructureTree {
-    /// Same walk as the portable tree; with no maintenance thread the
-    /// logically-deleted tombstones accumulate forever, so skipping them is
-    /// what keeps scans over this baseline correct.
-    fn tx_range_visit<'env>(
-        &'env self,
-        tx: &mut Transaction<'env>,
-        range: RangeInclusive<Key>,
-        order: ScanOrder,
-        visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
-    ) -> TxResult<()> {
-        self.inner.tx_range_visit(tx, range, order, visit)
-    }
-}
-
-impl TxMap for NoRestructureTree {
-    type Handle = SfHandle;
-
-    fn register(&self, ctx: ThreadCtx) -> SfHandle {
-        self.inner.register(ctx)
-    }
-
-    fn contains(&self, handle: &mut SfHandle, key: Key) -> bool {
-        TxMap::contains(&self.inner, handle, key)
-    }
-
-    fn get(&self, handle: &mut SfHandle, key: Key) -> Option<Value> {
-        TxMap::get(&self.inner, handle, key)
-    }
-
-    fn insert(&self, handle: &mut SfHandle, key: Key, value: Value) -> bool {
-        TxMap::insert(&self.inner, handle, key, value)
-    }
-
-    fn delete(&self, handle: &mut SfHandle, key: Key) -> bool {
-        TxMap::delete(&self.inner, handle, key)
-    }
-
-    fn delete_if(&self, handle: &mut SfHandle, key: Key, expected: Value) -> bool {
-        TxMap::delete_if(&self.inner, handle, key, expected)
-    }
-
-    fn move_entry(&self, handle: &mut SfHandle, from: Key, to: Key) -> bool {
-        TxMap::move_entry(&self.inner, handle, from, to)
-    }
-
-    fn range_collect(
-        &self,
-        handle: &mut SfHandle,
-        range: RangeInclusive<Key>,
-    ) -> Vec<(Key, Value)> {
-        TxMap::range_collect(&self.inner, handle, range)
-    }
-
-    fn len(&self, handle: &mut SfHandle) -> usize {
-        TxMap::len(&self.inner, handle)
-    }
-
-    fn len_quiescent(&self) -> usize {
-        self.inner.len_quiescent()
-    }
-
-    fn name(&self) -> &'static str {
-        "NRtree"
-    }
-}
-
-impl TxMapVersioned for NoRestructureTree {
-    /// The NRtree never starts a maintenance thread, so no node is ever
-    /// physically removed or recycled — running the caller's body without
-    /// the inner tree's activity (reclamation) guard is safe here.
-    fn atomically_versioned<R>(
-        &self,
-        handle: &mut SfHandle,
-        mut body: impl for<'t> FnMut(&'t Self, &mut Transaction<'t>) -> TxResult<R>,
-    ) -> (R, u64) {
-        handle.ctx_mut().atomically_versioned(|tx| body(self, tx))
-    }
-
-    fn snapshot_versioned(&self, handle: &mut SfHandle) -> (Vec<(Key, Value)>, u64) {
-        handle
-            .ctx_mut()
-            .atomically_versioned_kind(sf_stm::TxKind::ReadOnly, |tx| {
-                self.tx_range_collect(tx, 0..=Key::MAX)
-            })
+    ) -> TxResult<NodeId> {
+        PortableFind::find(nodes, root, tx, key)
     }
 }
 
@@ -149,6 +36,7 @@ impl TxMapVersioned for NoRestructureTree {
 mod tests {
     use super::*;
     use sf_stm::Stm;
+    use sf_tree::TxMap;
 
     #[test]
     fn behaves_like_a_set_but_never_shrinks_or_balances() {

@@ -12,7 +12,7 @@ use std::ops::{ControlFlow, RangeInclusive};
 
 use parking_lot::Mutex;
 use sf_stm::{ThreadCtx, Transaction, TxResult};
-use sf_tree::map::{ScanOrder, TxMap, TxMapInTx, TxOrderedMapInTx};
+use sf_tree::map::{ScanOrder, TxMap, TxMapInTx};
 use sf_tree::{Key, Value};
 
 /// Sequential map baseline (single-threaded use).
@@ -103,9 +103,7 @@ impl TxMapInTx for SeqMap {
         // atomicity; do the compare-and-delete under one acquisition.
         Ok(self.delete_if_direct(key, expected))
     }
-}
 
-impl TxOrderedMapInTx for SeqMap {
     fn tx_range_visit<'env>(
         &'env self,
         _tx: &mut Transaction<'env>,

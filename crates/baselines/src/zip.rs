@@ -22,7 +22,7 @@ use std::ops::{ControlFlow, RangeInclusive};
 use std::sync::Arc;
 
 use sf_stm::{TCell, ThreadCtx, Transaction, TxKind, TxResult};
-use sf_tree::map::{ScanOrder, TxMap, TxMapInTx, TxMapVersioned, TxOrderedMapInTx};
+use sf_tree::map::{ScanOrder, TxMapInTx, TxMapVersioned};
 use sf_tree::{Key, NodeId, TxArena, Value};
 
 /// Zip-tree node. The rank is not stored: it is a pure function of the key
@@ -312,6 +312,19 @@ impl TxMapInTx for ZipTree {
             curr = tx.read(hook)?;
         }
     }
+
+    /// In-order range walk inside the caller's transaction (the generic
+    /// walker of [`sf_tree::scan`]).
+    fn tx_range_visit<'env>(
+        &'env self,
+        tx: &mut Transaction<'env>,
+        range: RangeInclusive<Key>,
+        order: ScanOrder,
+        visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
+    ) -> TxResult<()> {
+        let root = tx.read(&self.root)?;
+        sf_tree::scan::bst_range_visit(|id| self.node(id), root, tx, range, order, visit)
+    }
 }
 
 impl sf_tree::scan::ScanNode for ZipNode {
@@ -333,84 +346,27 @@ impl sf_tree::scan::ScanNode for ZipNode {
     }
 }
 
-impl TxOrderedMapInTx for ZipTree {
-    /// In-order range walk inside the caller's transaction (the generic
-    /// walker of [`sf_tree::scan`]).
-    fn tx_range_visit<'env>(
-        &'env self,
-        tx: &mut Transaction<'env>,
-        range: RangeInclusive<Key>,
-        order: ScanOrder,
-        visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
-    ) -> TxResult<()> {
-        let root = tx.read(&self.root)?;
-        sf_tree::scan::bst_range_visit(|id| self.node(id), root, tx, range, order, visit)
-    }
-}
+impl TxMapVersioned for ZipTree {
+    const LABEL: &'static str = "ZipTree";
 
-impl TxMap for ZipTree {
     type Handle = ThreadCtx;
 
-    fn register(&self, ctx: ThreadCtx) -> ThreadCtx {
+    fn attach(&self, ctx: ThreadCtx) -> ThreadCtx {
         ctx
     }
 
-    fn contains(&self, ctx: &mut ThreadCtx, key: Key) -> bool {
-        ctx.atomically(|tx| self.tx_contains(tx, key))
-    }
-
-    fn get(&self, ctx: &mut ThreadCtx, key: Key) -> Option<Value> {
-        ctx.atomically(|tx| self.tx_get(tx, key))
-    }
-
-    fn insert(&self, ctx: &mut ThreadCtx, key: Key, value: Value) -> bool {
-        ctx.atomically(|tx| self.tx_insert(tx, key, value))
-    }
-
-    fn delete(&self, ctx: &mut ThreadCtx, key: Key) -> bool {
-        ctx.atomically(|tx| self.tx_delete(tx, key))
-    }
-
-    fn delete_if(&self, ctx: &mut ThreadCtx, key: Key, expected: Value) -> bool {
-        ctx.atomically(|tx| self.tx_delete_if(tx, key, expected))
-    }
-
-    fn move_entry(&self, ctx: &mut ThreadCtx, from: Key, to: Key) -> bool {
-        ctx.atomically(|tx| self.tx_move(tx, from, to))
-    }
-
-    fn range_collect(&self, ctx: &mut ThreadCtx, range: RangeInclusive<Key>) -> Vec<(Key, Value)> {
-        ctx.atomically_kind(TxKind::ReadOnly, |tx| {
-            self.tx_range_collect(tx, range.clone())
-        })
-    }
-
-    fn len(&self, ctx: &mut ThreadCtx) -> usize {
-        ctx.atomically_kind(TxKind::ReadOnly, |tx| self.tx_len(tx))
-    }
-
-    fn len_quiescent(&self) -> usize {
-        self.entries_quiescent().len()
-    }
-
-    fn name(&self) -> &'static str {
-        "ZipTree"
-    }
-}
-
-impl TxMapVersioned for ZipTree {
-    fn atomically_versioned<R>(
-        &self,
-        ctx: &mut ThreadCtx,
-        mut body: impl for<'t> FnMut(&'t Self, &mut Transaction<'t>) -> TxResult<R>,
+    fn transact<'t, R>(
+        &'t self,
+        ctx: &'t mut ThreadCtx,
+        kind: Option<TxKind>,
+        body: impl FnMut(&mut Transaction<'t>) -> TxResult<R>,
     ) -> (R, u64) {
-        ctx.atomically_versioned(|tx| body(self, tx))
+        let kind = kind.unwrap_or(ctx.stm().config().default_kind);
+        ctx.atomically_versioned_kind(kind, body)
     }
 
-    fn snapshot_versioned(&self, ctx: &mut ThreadCtx) -> (Vec<(Key, Value)>, u64) {
-        ctx.atomically_versioned_kind(TxKind::ReadOnly, |tx| {
-            self.tx_range_collect(tx, 0..=Key::MAX)
-        })
+    fn count_quiescent(&self) -> usize {
+        self.entries_quiescent().len()
     }
 }
 
@@ -418,6 +374,7 @@ impl TxMapVersioned for ZipTree {
 mod tests {
     use super::*;
     use sf_stm::Stm;
+    use sf_tree::map::TxMap;
     use std::collections::BTreeMap;
 
     #[test]

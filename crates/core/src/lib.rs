@@ -16,17 +16,21 @@
 //!   removal of logically deleted nodes, and quiescence-gated reclamation.
 //!
 //! One type, [`SfTree<F>`](SfTree), implements both of the paper's
-//! Algorithms 1 and 2; its [`FindSpec`] parameter picks the traversal, the
-//! maintenance thread's rotation style and the label. Two aliases name the
-//! variants:
+//! Algorithms 1 and 2 and the no-restructuring baseline of §5.2; its
+//! [`FindSpec`] parameter picks the traversal, the maintenance thread's
+//! rotation style and the label. Three aliases name the variants:
 //!
-//! | | [`SpecFriendlyTree`] = `SfTree<`[`PortableFind`]`>` | [`OptSpecFriendlyTree`] = `SfTree<`[`OptimizedFind`]`>` |
-//! |---|---|---|
-//! | traversal | transactional reads | unit reads + O(1) tracked reads |
-//! | rotations | classic, in place | clone-based (Figure 2(c)) |
-//! | removed flag | not needed | `rem` ∈ {false, true, true-by-left-rotation} |
-//! | TM requirements | standard interface only | unit loads (TinySTM-style) |
-//! | label | `SFtree` | `OptSFtree` |
+//! | | [`SpecFriendlyTree`] = `SfTree<`[`PortableFind`]`>` | [`OptSpecFriendlyTree`] = `SfTree<`[`OptimizedFind`]`>` | `NoRestructureTree` = `SfTree<NoRestructureFind>` (`sf-baselines`) |
+//! |---|---|---|---|
+//! | traversal | transactional reads | unit reads + O(1) tracked reads | Algorithm 1's |
+//! | rotations | classic, in place | clone-based (Figure 2(c)) | none: no maintenance thread is started |
+//! | removed flag | not needed | `rem` ∈ {false, true, true-by-left-rotation} | not needed |
+//! | TM requirements | standard interface only | unit loads (TinySTM-style) | standard interface only |
+//! | label | `SFtree` | `OptSFtree` | `NRtree` |
+//!
+//! Every variant implements the in-transaction [`TxMapInTx`] and the
+//! single-domain [`TxMapVersioned`], and gets the top-level [`TxMap`] from
+//! them (see [`map`] for the roster).
 //!
 //! ## Quick example
 //!
@@ -67,9 +71,7 @@ pub use maintenance::{
     maintenance_histograms, MaintenanceConfig, MaintenanceHandle, MaintenancePause,
     MaintenanceStyle, MaintenanceWorker, PassReport,
 };
-pub use map::{
-    intern_label, HotReport, ScanOrder, TxMap, TxMapInTx, TxMapVersioned, TxOrderedMapInTx,
-};
+pub use map::{intern_label, HotReport, ScanOrder, TxMap, TxMapInTx, TxMapVersioned};
 pub use node::{Key, Node, RemState, Side, Value, SENTINEL_KEY};
 pub use sftree::{
     FindSpec, OptSpecFriendlyTree, OptimizedFind, PortableFind, SfTree, SpecFriendlyTree,

@@ -1,23 +1,32 @@
 //! Tree-agnostic map abstractions.
 //!
-//! Every tree in this reproduction (speculation-friendly, optimized
-//! speculation-friendly, red-black, AVL, no-restructuring) implements the
-//! same two interfaces:
+//! Three traits face the maps of this reproduction (the registry's
+//! object-safe `MapSession` in `sf-workloads` sits on top of them):
 //!
+//! * [`TxMapInTx`] — *in-transaction* operations that run inside a caller
+//!   supplied [`Transaction`]: point lookups and updates, plus the *ordered*
+//!   operations (min/max, successor, range folds) derived from one scan
+//!   primitive. This is the reusability story of §5.4: the `move` operation
+//!   and the vacation application compose several map operations into one
+//!   atomic transaction without knowing anything about the tree's
+//!   synchronization internals.
+//! * [`TxMapVersioned`] — a map that lives in **one transactional domain**
+//!   (one STM instance). It says how a top-level transaction starts on a
+//!   per-thread handle ([`TxMapVersioned::transact`]) and reports the commit
+//!   version a durability layer needs.
 //! * [`TxMap`] — complete operations, each executed as its own transaction.
 //!   This is what the synchrobench-style micro-benchmark drives.
-//! * [`TxMapInTx`] — *in-transaction* operations that run inside a caller
-//!   supplied [`Transaction`]. This is the reusability story of §5.4: the
-//!   `move` operation and the vacation application compose several map
-//!   operations into one atomic transaction without knowing anything about
-//!   the tree's synchronization internals.
 //!
-//! On top of the point operations, [`TxOrderedMapInTx`] exposes the *ordered*
-//! structure of the trees — min/max, successor, and range scans — which is
-//! the capability that distinguishes a BST service from a hash map. A single
-//! required primitive ([`TxOrderedMapInTx::tx_range_visit`]) yields every
-//! derived operation; scans run as [`sf_stm::TxKind::ReadOnly`] transactions
-//! at the top level so the STM skips write-set bookkeeping entirely.
+//! **A new tree implements [`TxMapInTx`] and [`TxMapVersioned`]**; one
+//! blanket impl then gives it [`TxMap`], with every top-level operation
+//! written once as a transaction around its in-transaction counterpart
+//! (point operations in the STM's default kind, scans as
+//! [`TxKind::ReadOnly`] so the STM skips write-set bookkeeping). Only maps
+//! without a single commit point implement [`TxMap`] by hand: compositions
+//! spanning several domains (the sharded map), decorators that interpose on
+//! each operation (the durability layer), and the unsynchronized
+//! sequential baseline. The two traits' method names are disjoint, so code
+//! importing both never needs fully-qualified calls.
 
 use std::collections::HashMap;
 use std::ops::{ControlFlow, RangeInclusive};
@@ -25,7 +34,7 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
-use sf_stm::{ThreadCtx, Transaction, TxResult};
+use sf_stm::{ThreadCtx, Transaction, TxKind, TxResult};
 
 use crate::node::{Key, Value};
 
@@ -45,7 +54,30 @@ pub fn intern_label(label: String) -> &'static str {
     leaked
 }
 
+/// Direction of an ordered scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanOrder {
+    /// Visit keys in ascending order.
+    Ascending,
+    /// Visit keys in descending order.
+    Descending,
+}
+
 /// In-transaction map operations: compose freely inside one transaction.
+///
+/// Implementations provide the three point primitives and a single ordered
+/// one — [`tx_range_visit`] — that walks the live entries of a key range in
+/// order inside the caller's transaction; every other operation derives from
+/// them. For the speculation-friendly trees the subtle part of the walk is
+/// that it must *skip logically-deleted nodes*: a deleted key stays
+/// physically linked (its `del` flag set) until the background maintenance
+/// thread removes it, so the traversal reads each in-range node's deletion
+/// flag transactionally and filters the tombstones out of the scan.
+///
+/// Every derived scan keeps the read set of the underlying transaction, so a
+/// committed scan is an atomic snapshot of the visited range.
+///
+/// [`tx_range_visit`]: TxMapInTx::tx_range_visit
 pub trait TxMapInTx: Send + Sync {
     /// Look up `key`, returning its value if present.
     fn tx_get<'env>(&'env self, tx: &mut Transaction<'env>, key: Key) -> TxResult<Option<Value>>;
@@ -61,6 +93,17 @@ pub trait TxMapInTx: Send + Sync {
 
     /// Delete `key`. Returns `true` if the key was present (the map changed).
     fn tx_delete<'env>(&'env self, tx: &mut Transaction<'env>, key: Key) -> TxResult<bool>;
+
+    /// Visit the live `(key, value)` entries whose keys fall in `range`, in
+    /// `order`, calling `visit` for each until it breaks or the range is
+    /// exhausted.
+    fn tx_range_visit<'env>(
+        &'env self,
+        tx: &mut Transaction<'env>,
+        range: RangeInclusive<Key>,
+        order: ScanOrder,
+        visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
+    ) -> TxResult<()>;
 
     /// Membership test.
     fn tx_contains<'env>(&'env self, tx: &mut Transaction<'env>, key: Key) -> TxResult<bool> {
@@ -104,84 +147,6 @@ pub trait TxMapInTx: Send + Sync {
         }
         Ok(true)
     }
-}
-
-/// Quiescent summary of a structure's hot-key state: how many rotations the
-/// maintenance thread performed because access mass dominated, and where the
-/// sampled access mass currently sits in the tree. Produced by
-/// [`TxMap::hot_report`]; all depths are 1-based node counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HotReport {
-    /// Maintenance rotations driven by access-mass dominance.
-    pub hot_rotations: u64,
-    /// Total sampled access mass over the reachable tree.
-    pub sampled_mass: u64,
-    /// Mass-weighted average depth of sampled accesses (`0.0` when nothing
-    /// was sampled).
-    pub avg_depth: f64,
-    /// Key of the single hottest node (meaningful when `hottest_mass > 0`).
-    pub hottest_key: Key,
-    /// Access mass of the hottest node.
-    pub hottest_mass: u64,
-    /// Depth of the hottest node.
-    pub hottest_depth: u64,
-}
-
-impl HotReport {
-    /// Fold another report in (sharded compositions): rotation counts add,
-    /// average depth combines mass-weighted, the hottest node wins by mass.
-    pub fn merge(&mut self, other: &HotReport) {
-        self.hot_rotations += other.hot_rotations;
-        let total = self.sampled_mass + other.sampled_mass;
-        if total > 0 {
-            self.avg_depth = (self.avg_depth * self.sampled_mass as f64
-                + other.avg_depth * other.sampled_mass as f64)
-                / total as f64;
-        }
-        self.sampled_mass = total;
-        if other.hottest_mass > self.hottest_mass {
-            self.hottest_key = other.hottest_key;
-            self.hottest_mass = other.hottest_mass;
-            self.hottest_depth = other.hottest_depth;
-        }
-    }
-}
-
-/// Direction of an ordered scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanOrder {
-    /// Visit keys in ascending order.
-    Ascending,
-    /// Visit keys in descending order.
-    Descending,
-}
-
-/// In-transaction *ordered*-map operations: min/max, successor and range
-/// scans that compose with point operations inside one transaction.
-///
-/// Implementations provide a single primitive — [`tx_range_visit`] — that
-/// walks the live entries of a key range in order inside the caller's
-/// transaction. For the speculation-friendly trees the subtle part is that
-/// the walk must *skip logically-deleted nodes*: a deleted key stays
-/// physically linked (its `del` flag set) until the background maintenance
-/// thread removes it, so the traversal reads each in-range node's deletion
-/// flag transactionally and filters the tombstones out of the scan.
-///
-/// Every derived operation keeps the read set of the underlying transaction,
-/// so a committed scan is an atomic snapshot of the visited range.
-///
-/// [`tx_range_visit`]: TxOrderedMapInTx::tx_range_visit
-pub trait TxOrderedMapInTx: TxMapInTx {
-    /// Visit the live `(key, value)` entries whose keys fall in `range`, in
-    /// `order`, calling `visit` for each until it breaks or the range is
-    /// exhausted.
-    fn tx_range_visit<'env>(
-        &'env self,
-        tx: &mut Transaction<'env>,
-        range: RangeInclusive<Key>,
-        order: ScanOrder,
-        visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
-    ) -> TxResult<()>;
 
     /// Fold `fold` over the live entries of `range` in ascending key order.
     fn tx_range_fold<'env, A>(
@@ -266,11 +231,56 @@ pub trait TxOrderedMapInTx: TxMapInTx {
     }
 }
 
+/// Quiescent summary of a structure's hot-key state: how many rotations the
+/// maintenance thread performed because access mass dominated, and where the
+/// sampled access mass currently sits in the tree. Produced by
+/// [`TxMap::hot_report`]; all depths are 1-based node counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HotReport {
+    /// Maintenance rotations driven by access-mass dominance.
+    pub hot_rotations: u64,
+    /// Total sampled access mass over the reachable tree.
+    pub sampled_mass: u64,
+    /// Mass-weighted average depth of sampled accesses (`0.0` when nothing
+    /// was sampled).
+    pub avg_depth: f64,
+    /// Key of the single hottest node (meaningful when `hottest_mass > 0`).
+    pub hottest_key: Key,
+    /// Access mass of the hottest node.
+    pub hottest_mass: u64,
+    /// Depth of the hottest node.
+    pub hottest_depth: u64,
+}
+
+impl HotReport {
+    /// Fold another report in (sharded compositions): rotation counts add,
+    /// average depth combines mass-weighted, the hottest node wins by mass.
+    pub fn merge(&mut self, other: &HotReport) {
+        self.hot_rotations += other.hot_rotations;
+        let total = self.sampled_mass + other.sampled_mass;
+        if total > 0 {
+            self.avg_depth = (self.avg_depth * self.sampled_mass as f64
+                + other.avg_depth * other.sampled_mass as f64)
+                / total as f64;
+        }
+        self.sampled_mass = total;
+        if other.hottest_mass > self.hottest_mass {
+            self.hottest_key = other.hottest_key;
+            self.hottest_mass = other.hottest_mass;
+            self.hottest_depth = other.hottest_depth;
+        }
+    }
+}
+
 /// Top-level map operations, one transaction per call.
 ///
 /// `Handle` bundles whatever per-thread state the structure needs: at minimum
 /// the STM thread context, plus (for the speculation-friendly trees) the
 /// activity slot used by the quiescence-based reclamation protocol.
+///
+/// Every [`TxMapVersioned`] map gets this trait from the blanket impl below;
+/// implement it by hand only for a map without a single commit point (see
+/// the [module docs](self)).
 pub trait TxMap: Send + Sync {
     /// Per-thread handle.
     type Handle: Send;
@@ -362,7 +372,7 @@ pub trait TxMap: Send + Sync {
 
     /// Collect the live entries whose keys fall in `range`, in ascending key
     /// order, as one atomic read-only scan transaction
-    /// ([`sf_stm::TxKind::ReadOnly`] — no write-set bookkeeping). Structures
+    /// ([`TxKind::ReadOnly`] — no write-set bookkeeping). Structures
     /// composed of several transactional domains (e.g. the sharded map)
     /// relax atomicity to per-domain snapshots; see their documentation.
     fn range_collect(
@@ -392,18 +402,49 @@ pub trait TxMap: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Maps whose top-level operations can report the **commit version** at which
-/// they serialized — the capability a durability layer builds on.
+/// A map living in **one transactional domain** (one STM instance): what a
+/// tree implements, next to [`TxMapInTx`], to become a [`TxMap`].
 ///
-/// Every single-STM backend implements this by funnelling the caller's body
-/// through the same guard + retry protocol as its built-in point operations
-/// ([`sf_stm::ThreadCtx::atomically_versioned`] underneath), so the returned
-/// version is the STM clock stamp of the winning attempt and the body's
-/// [`Transaction::on_commit_versioned`] hooks observe the identical value.
-/// Multi-domain compositions (the sharded map) do **not** implement it — no
-/// single transaction spans their shards; they are made durable by wrapping
-/// each shard instead (`ShardedMap<DurableMap<M>>`).
-pub trait TxMapVersioned: TxMap + TxMapInTx + TxOrderedMapInTx {
+/// The one required transactional primitive is [`transact`]: run a body as
+/// a top-level transaction on the caller's handle, inside whatever guard
+/// the tree needs (the speculation-friendly trees' reclamation protocol),
+/// and return the **commit version** — the STM clock stamp of the winning
+/// attempt, the same value the body's [`Transaction::on_commit_versioned`]
+/// hooks observe. That version is the capability a durability layer builds
+/// on. Multi-domain compositions (the sharded map) do **not** implement this
+/// trait — no single transaction spans their shards; they are made durable
+/// by wrapping each shard instead (`ShardedMap<DurableMap<M>>`).
+///
+/// [`transact`]: TxMapVersioned::transact
+pub trait TxMapVersioned: TxMapInTx {
+    /// Short human-readable name used in benchmark output ([`TxMap::name`]).
+    const LABEL: &'static str;
+
+    /// Per-thread handle ([`TxMap::Handle`]).
+    type Handle: Send;
+
+    /// Bind a worker thread's STM context to a handle ([`TxMap::register`]).
+    fn attach(&self, ctx: ThreadCtx) -> Self::Handle;
+
+    /// Run `body` as one top-level transaction on `handle` — of `kind`, or
+    /// of the STM's default kind when `None` — retrying until it commits,
+    /// and return its result together with the commit version.
+    fn transact<'t, R>(
+        &'t self,
+        handle: &'t mut Self::Handle,
+        kind: Option<TxKind>,
+        body: impl FnMut(&mut Transaction<'t>) -> TxResult<R>,
+    ) -> (R, u64);
+
+    /// Number of live keys while quiescent ([`TxMap::len_quiescent`]).
+    fn count_quiescent(&self) -> usize;
+
+    /// Quiescent hot-key summary ([`TxMap::hot_report`]); `None` (the
+    /// default) for structures without access tracking.
+    fn hot_quiescent(&self) -> Option<HotReport> {
+        None
+    }
+
     /// Run `body` as one top-level transaction of the map's default kind
     /// (the same kind its own mutating operations use), retrying until it
     /// commits, and return its result together with the commit version.
@@ -415,8 +456,10 @@ pub trait TxMapVersioned: TxMap + TxMapInTx + TxOrderedMapInTx {
     fn atomically_versioned<R>(
         &self,
         handle: &mut Self::Handle,
-        body: impl for<'t> FnMut(&'t Self, &mut Transaction<'t>) -> TxResult<R>,
-    ) -> (R, u64);
+        mut body: impl for<'t> FnMut(&'t Self, &mut Transaction<'t>) -> TxResult<R>,
+    ) -> (R, u64) {
+        self.transact(handle, None, |tx| body(self, tx))
+    }
 
     /// One atomic full-range snapshot of the live entries, in ascending key
     /// order, together with the version at which the read-only scan
@@ -424,7 +467,79 @@ pub trait TxMapVersioned: TxMap + TxMapInTx + TxOrderedMapInTx {
     /// reflected in the entries, every commit with a greater version is not.
     /// This is exactly the boundary a checkpoint needs in order to truncate
     /// a commit-ordered log safely.
-    fn snapshot_versioned(&self, handle: &mut Self::Handle) -> (Vec<(Key, Value)>, u64);
+    fn snapshot_versioned(&self, handle: &mut Self::Handle) -> (Vec<(Key, Value)>, u64) {
+        self.transact(handle, Some(TxKind::ReadOnly), |tx| {
+            self.tx_range_collect(tx, 0..=Key::MAX)
+        })
+    }
+}
+
+/// The top-level operations of every single-domain map, written once: each
+/// is one [`TxMapVersioned::transact`] around its in-transaction
+/// counterpart — point operations in the STM's default kind, scans as
+/// [`TxKind::ReadOnly`].
+impl<M: TxMapVersioned> TxMap for M {
+    type Handle = <M as TxMapVersioned>::Handle;
+
+    fn register(&self, ctx: ThreadCtx) -> Self::Handle {
+        self.attach(ctx)
+    }
+
+    fn contains(&self, handle: &mut Self::Handle, key: Key) -> bool {
+        self.transact(handle, None, |tx| self.tx_contains(tx, key))
+            .0
+    }
+
+    fn get(&self, handle: &mut Self::Handle, key: Key) -> Option<Value> {
+        self.transact(handle, None, |tx| self.tx_get(tx, key)).0
+    }
+
+    fn insert(&self, handle: &mut Self::Handle, key: Key, value: Value) -> bool {
+        self.transact(handle, None, |tx| self.tx_insert(tx, key, value))
+            .0
+    }
+
+    fn delete(&self, handle: &mut Self::Handle, key: Key) -> bool {
+        self.transact(handle, None, |tx| self.tx_delete(tx, key)).0
+    }
+
+    fn delete_if(&self, handle: &mut Self::Handle, key: Key, expected: Value) -> bool {
+        self.transact(handle, None, |tx| self.tx_delete_if(tx, key, expected))
+            .0
+    }
+
+    fn move_entry(&self, handle: &mut Self::Handle, from: Key, to: Key) -> bool {
+        self.transact(handle, None, |tx| self.tx_move(tx, from, to))
+            .0
+    }
+
+    fn range_collect(
+        &self,
+        handle: &mut Self::Handle,
+        range: RangeInclusive<Key>,
+    ) -> Vec<(Key, Value)> {
+        self.transact(handle, Some(TxKind::ReadOnly), |tx| {
+            self.tx_range_collect(tx, range.clone())
+        })
+        .0
+    }
+
+    fn len(&self, handle: &mut Self::Handle) -> usize {
+        self.transact(handle, Some(TxKind::ReadOnly), |tx| self.tx_len(tx))
+            .0
+    }
+
+    fn len_quiescent(&self) -> usize {
+        self.count_quiescent()
+    }
+
+    fn hot_report(&self) -> Option<HotReport> {
+        self.hot_quiescent()
+    }
+
+    fn name(&self) -> &'static str {
+        M::LABEL
+    }
 }
 
 #[cfg(test)]
@@ -457,6 +572,32 @@ mod tests {
         fn tx_delete<'env>(&'env self, _tx: &mut Transaction<'env>, key: Key) -> TxResult<bool> {
             Ok(self.0.lock().remove(&key).is_some())
         }
+        fn tx_range_visit<'env>(
+            &'env self,
+            _tx: &mut Transaction<'env>,
+            range: RangeInclusive<Key>,
+            order: ScanOrder,
+            visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
+        ) -> TxResult<()> {
+            let map = self.0.lock();
+            match order {
+                ScanOrder::Ascending => {
+                    for (&k, &v) in map.range(range) {
+                        if visit(k, v).is_break() {
+                            break;
+                        }
+                    }
+                }
+                ScanOrder::Descending => {
+                    for (&k, &v) in map.range(range).rev() {
+                        if visit(k, v).is_break() {
+                            break;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
     }
 
     #[test]
@@ -487,35 +628,6 @@ mod tests {
         assert!(!ctx.atomically(|tx| oracle.tx_contains(tx, 7)));
         ctx.atomically(|tx| oracle.tx_insert(tx, 7, 70));
         assert!(ctx.atomically(|tx| oracle.tx_contains(tx, 7)));
-    }
-
-    impl TxOrderedMapInTx for Oracle {
-        fn tx_range_visit<'env>(
-            &'env self,
-            _tx: &mut Transaction<'env>,
-            range: RangeInclusive<Key>,
-            order: ScanOrder,
-            visit: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
-        ) -> TxResult<()> {
-            let map = self.0.lock();
-            match order {
-                ScanOrder::Ascending => {
-                    for (&k, &v) in map.range(range) {
-                        if visit(k, v).is_break() {
-                            break;
-                        }
-                    }
-                }
-                ScanOrder::Descending => {
-                    for (&k, &v) in map.range(range).rev() {
-                        if visit(k, v).is_break() {
-                            break;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }
     }
 
     #[test]

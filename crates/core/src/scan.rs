@@ -117,7 +117,7 @@ pub fn bst_range_visit<'env, N: ScanNode + 'env>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map::{TxMap, TxOrderedMapInTx};
+    use crate::map::{TxMap, TxMapInTx};
     use crate::SpecFriendlyTree;
     use sf_stm::Stm;
 

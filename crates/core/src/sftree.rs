@@ -11,7 +11,7 @@ use crate::inspect::TreeInspect;
 use crate::maintenance::{
     MaintenanceConfig, MaintenanceHandle, MaintenanceStyle, MaintenanceWorker,
 };
-use crate::map::{HotReport, ScanOrder, TxMap, TxMapInTx, TxMapVersioned, TxOrderedMapInTx};
+use crate::map::{HotReport, ScanOrder, TxMapInTx, TxMapVersioned};
 use crate::node::{Key, Node, RemState, Side, Value, SENTINEL_KEY};
 use crate::scan::bst_range_visit;
 use crate::shared::{SfHandle, TreeCore, TreeStats};
@@ -27,7 +27,7 @@ use crate::shared::{SfHandle, TreeCore, TreeStats};
 pub trait FindSpec: 'static {
     /// Rotation flavour of the maintenance worker paired with this traversal.
     const STYLE: MaintenanceStyle;
-    /// Display label of the tree ([`TxMap::name`]).
+    /// Display label of the tree ([`TxMapVersioned::LABEL`]).
     const LABEL: &'static str;
 
     /// Descend from `root` towards `key`.
@@ -296,24 +296,6 @@ impl<F: FindSpec> SfTree<F> {
         self.core.record_access_sampled(found);
         Ok(self.core.node(found))
     }
-
-    /// Run `body` as one top-level transaction on `handle`'s context — of
-    /// `kind`, or of the STM's default kind — inside an operation guard of
-    /// the reclamation protocol (§3.4). Returns the result and the commit
-    /// version.
-    fn transact<'t, R>(
-        &'t self,
-        handle: &'t mut SfHandle,
-        kind: Option<TxKind>,
-        body: impl FnMut(&mut Transaction<'t>) -> TxResult<R>,
-    ) -> (R, u64) {
-        let (ctx, activity) = handle.parts();
-        let _op = activity.begin();
-        match kind {
-            Some(kind) => ctx.atomically_versioned_kind(kind, body),
-            None => ctx.atomically_versioned(body),
-        }
-    }
 }
 
 impl<F: FindSpec> Default for SfTree<F> {
@@ -376,9 +358,7 @@ impl<F: FindSpec> TxMapInTx for SfTree<F> {
             Ok(true)
         }
     }
-}
 
-impl<F: FindSpec> TxOrderedMapInTx for SfTree<F> {
     /// Range walk with fully-transactional reads on both variants: the
     /// unit-read shortcut of the optimized point `find` cannot apply because
     /// a scan's whole result set must be one atomic snapshot, so every hop
@@ -397,62 +377,34 @@ impl<F: FindSpec> TxOrderedMapInTx for SfTree<F> {
     }
 }
 
-impl<F: FindSpec> TxMap for SfTree<F> {
+impl<F: FindSpec> TxMapVersioned for SfTree<F> {
+    const LABEL: &'static str = F::LABEL;
+
     type Handle = SfHandle;
 
-    fn register(&self, ctx: ThreadCtx) -> SfHandle {
-        SfTree::register(self, ctx)
+    fn attach(&self, ctx: ThreadCtx) -> SfHandle {
+        self.register(ctx)
     }
 
-    fn contains(&self, handle: &mut SfHandle, key: Key) -> bool {
-        self.transact(handle, None, |tx| self.tx_contains(tx, key))
-            .0
+    /// Runs `body` on `handle`'s context inside an operation guard of the
+    /// reclamation protocol (§3.4).
+    fn transact<'t, R>(
+        &'t self,
+        handle: &'t mut SfHandle,
+        kind: Option<TxKind>,
+        body: impl FnMut(&mut Transaction<'t>) -> TxResult<R>,
+    ) -> (R, u64) {
+        let (ctx, activity) = handle.parts();
+        let _op = activity.begin();
+        let kind = kind.unwrap_or(ctx.stm().config().default_kind);
+        ctx.atomically_versioned_kind(kind, body)
     }
 
-    fn get(&self, handle: &mut SfHandle, key: Key) -> Option<Value> {
-        self.transact(handle, None, |tx| self.tx_get(tx, key)).0
-    }
-
-    fn insert(&self, handle: &mut SfHandle, key: Key, value: Value) -> bool {
-        self.transact(handle, None, |tx| self.tx_insert(tx, key, value))
-            .0
-    }
-
-    fn delete(&self, handle: &mut SfHandle, key: Key) -> bool {
-        self.transact(handle, None, |tx| self.tx_delete(tx, key)).0
-    }
-
-    fn delete_if(&self, handle: &mut SfHandle, key: Key, expected: Value) -> bool {
-        self.transact(handle, None, |tx| self.tx_delete_if(tx, key, expected))
-            .0
-    }
-
-    fn move_entry(&self, handle: &mut SfHandle, from: Key, to: Key) -> bool {
-        self.transact(handle, None, |tx| self.tx_move(tx, from, to))
-            .0
-    }
-
-    fn range_collect(
-        &self,
-        handle: &mut SfHandle,
-        range: RangeInclusive<Key>,
-    ) -> Vec<(Key, Value)> {
-        self.transact(handle, Some(TxKind::ReadOnly), |tx| {
-            self.tx_range_collect(tx, range.clone())
-        })
-        .0
-    }
-
-    fn len(&self, handle: &mut SfHandle) -> usize {
-        self.transact(handle, Some(TxKind::ReadOnly), |tx| self.tx_len(tx))
-            .0
-    }
-
-    fn len_quiescent(&self) -> usize {
+    fn count_quiescent(&self) -> usize {
         self.inspect().live_entries().len()
     }
 
-    fn hot_report(&self) -> Option<HotReport> {
+    fn hot_quiescent(&self) -> Option<HotReport> {
         let mut report = self.inspect().hot_summary();
         report.hot_rotations = self
             .core
@@ -462,31 +414,12 @@ impl<F: FindSpec> TxMap for SfTree<F> {
             .load(std::sync::atomic::Ordering::Relaxed);
         Some(report)
     }
-
-    fn name(&self) -> &'static str {
-        F::LABEL
-    }
-}
-
-impl<F: FindSpec> TxMapVersioned for SfTree<F> {
-    fn atomically_versioned<R>(
-        &self,
-        handle: &mut SfHandle,
-        mut body: impl for<'t> FnMut(&'t Self, &mut Transaction<'t>) -> TxResult<R>,
-    ) -> (R, u64) {
-        self.transact(handle, None, |tx| body(self, tx))
-    }
-
-    fn snapshot_versioned(&self, handle: &mut SfHandle) -> (Vec<(Key, Value)>, u64) {
-        self.transact(handle, Some(TxKind::ReadOnly), |tx| {
-            self.tx_range_collect(tx, 0..=Key::MAX)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::TxMap;
     use sf_stm::Stm;
     use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -38,10 +38,10 @@
 //! `delete(to)` may consume the in-flight copy (the move then still reports
 //! by the compare-and-delete outcome, so the global key/value accounting
 //! stays linear — see the conservation tests in `tests/sharded_map.rs`).
-//! In-transaction composition ([`TxMapInTx`]) is supported per shard; a
-//! cross-shard `tx_move` inside a caller-supplied transaction is rejected
-//! because no single transaction can span two STM instances — use the
-//! top-level [`TxMap::move_entry`] instead.
+//! The sharded map has no in-transaction interface
+//! ([`TxMapInTx`](crate::map::TxMapInTx)): no single transaction can span
+//! two STM instances. To compose with one shard, run a transaction on
+//! [`ShardedMap::shard_stm`] against [`ShardedMap::shard_map`].
 //!
 //! **Durability.** Steps 2 and 3 are driven through the [`TxMap`] move
 //! hooks ([`TxMap::move_source_scope`], [`TxMap::move_peer_scope`],
@@ -86,10 +86,10 @@ use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use sf_stm::{StatsSnapshot, Stm, StmConfig, ThreadCtx, Transaction, TxResult};
+use sf_stm::{StatsSnapshot, Stm, StmConfig, ThreadCtx};
 
 use crate::maintenance::{MaintenanceConfig, MaintenanceHandle, MaintenancePause};
-use crate::map::{intern_label, TxMap, TxMapInTx};
+use crate::map::{intern_label, TxMap};
 use crate::node::{Key, Value};
 use crate::sftree::{FindSpec, SfTree};
 
@@ -243,15 +243,11 @@ impl<M: TxMap> ShardedMap<M> {
         ((h >> 32) as usize) % self.shards.len()
     }
 
-    /// The STM instance of shard `index` (e.g. to build a [`Transaction`]
-    /// that composes with this shard through [`TxMapInTx`]).
+    /// The STM instance of shard `index` (e.g. to run a transaction that
+    /// composes with [`ShardedMap::shard_map`] through
+    /// [`TxMapInTx`](crate::map::TxMapInTx)).
     pub fn shard_stm(&self, index: usize) -> &Arc<Stm> {
         &self.shards[index].stm
-    }
-
-    /// The STM instance owning `key`'s shard.
-    pub fn stm_for(&self, key: Key) -> &Arc<Stm> {
-        self.shard_stm(self.shard_of(key))
     }
 
     /// The inner map of shard `index`.
@@ -514,52 +510,10 @@ where
     }
 }
 
-impl<M: TxMap + TxMapInTx> TxMapInTx for ShardedMap<M> {
-    /// Compose with the shard owning `key`. The transaction **must** have
-    /// been started on that shard's STM instance
-    /// ([`ShardedMap::stm_for`]`(key)`); transactions cannot span shards.
-    fn tx_get<'env>(&'env self, tx: &mut Transaction<'env>, key: Key) -> TxResult<Option<Value>> {
-        self.shards[self.shard_of(key)].map.tx_get(tx, key)
-    }
-
-    /// See [`ShardedMap::tx_get`] for the single-shard transaction contract.
-    fn tx_insert<'env>(
-        &'env self,
-        tx: &mut Transaction<'env>,
-        key: Key,
-        value: Value,
-    ) -> TxResult<bool> {
-        self.shards[self.shard_of(key)]
-            .map
-            .tx_insert(tx, key, value)
-    }
-
-    /// See [`ShardedMap::tx_get`] for the single-shard transaction contract.
-    fn tx_delete<'env>(&'env self, tx: &mut Transaction<'env>, key: Key) -> TxResult<bool> {
-        self.shards[self.shard_of(key)].map.tx_delete(tx, key)
-    }
-
-    /// In-transaction move, supported only when both keys hash to the same
-    /// shard.
-    ///
-    /// # Panics
-    /// Panics when `from` and `to` live on different shards: a single
-    /// transaction cannot span two STM instances. Use the top-level
-    /// [`TxMap::move_entry`], which runs the two-phase cross-shard protocol.
-    fn tx_move<'env>(&'env self, tx: &mut Transaction<'env>, from: Key, to: Key) -> TxResult<bool> {
-        let (src, dst) = (self.shard_of(from), self.shard_of(to));
-        assert_eq!(
-            src, dst,
-            "cross-shard tx_move cannot run inside one transaction; \
-             use ShardedMap::move_entry"
-        );
-        self.shards[src].map.tx_move(tx, from, to)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::TxMapInTx;
     use crate::{OptSpecFriendlyTree, SpecFriendlyTree};
     use std::collections::BTreeMap;
 
@@ -702,26 +656,15 @@ mod tests {
         let mut handle = map.register_sharded();
         map.insert(&mut handle, 3, 30);
         let shard = map.shard_of(3);
+        let inner = map.shard_map(shard);
         let mut ctx = map.shard_stm(shard).register();
         let (got, inserted) = ctx.atomically(|tx| {
-            let got = map.tx_get(tx, 3)?;
-            let inserted = map.tx_insert(tx, 3, 99)?;
+            let got = inner.tx_get(tx, 3)?;
+            let inserted = inner.tx_insert(tx, 3, 99)?;
             Ok((got, inserted))
         });
         assert_eq!(got, Some(30));
         assert!(!inserted);
-    }
-
-    #[test]
-    #[should_panic(expected = "cross-shard tx_move")]
-    fn cross_shard_tx_move_is_rejected() {
-        let map = sharded(4);
-        let from = 1u64;
-        let to = (2..1000u64)
-            .find(|&k| map.shard_of(k) != map.shard_of(from))
-            .unwrap();
-        let mut ctx = map.stm_for(from).register();
-        ctx.atomically(|tx| map.tx_move(tx, from, to));
     }
 
     #[test]

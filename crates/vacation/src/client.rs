@@ -173,7 +173,7 @@ pub fn run_clients<D: DirectoryMap>(
     }
     let elapsed = started.elapsed();
     VacationResult {
-        structure: manager.table(ReservationKind::Car).label(),
+        structure: manager.table(ReservationKind::Car).name(),
         clients: params.clients,
         transactions: per_client * params.clients as u64,
         elapsed,

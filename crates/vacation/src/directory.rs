@@ -4,14 +4,15 @@
 //! customers) as a tree-based directory. The benchmark swaps the tree
 //! implementation (Oracle red-black tree, speculation-friendly tree,
 //! no-restructuring tree); [`DirectoryMap`] is the small capability bundle a
-//! tree must provide to play that role: the in-transaction map operations,
-//! plus hooks for the reclamation protocol and the §5.5 rotation accounting.
+//! tree must provide to play that role: the in-transaction map operations
+//! (and the top-level ones, whose `name` labels the run), plus hooks for the
+//! reclamation protocol and the §5.5 rotation accounting.
 
-use sf_tree::map::TxMapInTx;
+use sf_tree::map::{TxMap, TxMapInTx};
 use sf_tree::{ActivityHandle, FindSpec, Key, SfTree, Value};
 
 /// A tree usable as a vacation table.
-pub trait DirectoryMap: TxMapInTx + Send + Sync + 'static {
+pub trait DirectoryMap: TxMapInTx + TxMap + 'static {
     /// Register the calling client thread with the structure's reclamation
     /// protocol, when it has one. The returned handle must be kept alive by
     /// the client and an operation guard taken around every client
@@ -29,9 +30,6 @@ pub trait DirectoryMap: TxMapInTx + Send + Sync + 'static {
 
     /// Quiescent dump of the directory contents (consistency checking).
     fn entries_quiescent(&self) -> Vec<(Key, Value)>;
-
-    /// Display label of the structure.
-    fn label(&self) -> &'static str;
 }
 
 impl<F: FindSpec> DirectoryMap for SfTree<F> {
@@ -44,9 +42,6 @@ impl<F: FindSpec> DirectoryMap for SfTree<F> {
     fn entries_quiescent(&self) -> Vec<(Key, Value)> {
         self.inspect().live_entries()
     }
-    fn label(&self) -> &'static str {
-        F::LABEL
-    }
 }
 
 impl DirectoryMap for sf_baselines::RedBlackTree {
@@ -54,10 +49,7 @@ impl DirectoryMap for sf_baselines::RedBlackTree {
         self.rotation_attempts()
     }
     fn entries_quiescent(&self) -> Vec<(Key, Value)> {
-        RedBlackTreeEntries::entries(self)
-    }
-    fn label(&self) -> &'static str {
-        "RBtree"
+        self.entries_quiescent()
     }
 }
 
@@ -68,41 +60,11 @@ impl DirectoryMap for sf_baselines::AvlTree {
     fn entries_quiescent(&self) -> Vec<(Key, Value)> {
         self.entries_quiescent()
     }
-    fn label(&self) -> &'static str {
-        "AVLtree"
-    }
-}
-
-impl DirectoryMap for sf_baselines::NoRestructureTree {
-    fn register_activity(&self) -> Option<ActivityHandle> {
-        None // the NRtree never removes nodes, so no reclamation protocol
-    }
-    fn entries_quiescent(&self) -> Vec<(Key, Value)> {
-        self.inspect().live_entries()
-    }
-    fn label(&self) -> &'static str {
-        "NRtree"
-    }
 }
 
 impl DirectoryMap for sf_baselines::SeqMap {
     fn entries_quiescent(&self) -> Vec<(Key, Value)> {
         self.entries()
-    }
-    fn label(&self) -> &'static str {
-        "Sequential"
-    }
-}
-
-/// Helper to disambiguate the inherent `entries_quiescent` of the red-black
-/// tree from the trait method.
-trait RedBlackTreeEntries {
-    fn entries(&self) -> Vec<(Key, Value)>;
-}
-
-impl RedBlackTreeEntries for sf_baselines::RedBlackTree {
-    fn entries(&self) -> Vec<(Key, Value)> {
-        self.entries_quiescent()
     }
 }
 
@@ -113,12 +75,12 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         let labels = [
-            sf_tree::OptSpecFriendlyTree::new().label(),
-            sf_tree::SpecFriendlyTree::new().label(),
-            sf_baselines::RedBlackTree::new().label(),
-            sf_baselines::AvlTree::new().label(),
-            sf_baselines::NoRestructureTree::new().label(),
-            sf_baselines::SeqMap::new().label(),
+            sf_tree::OptSpecFriendlyTree::new().name(),
+            sf_tree::SpecFriendlyTree::new().name(),
+            sf_baselines::RedBlackTree::new().name(),
+            sf_baselines::AvlTree::new().name(),
+            sf_baselines::NoRestructureTree::new().name(),
+            sf_baselines::SeqMap::new().name(),
         ];
         let unique: std::collections::HashSet<_> = labels.iter().collect();
         assert_eq!(unique.len(), labels.len());

@@ -791,6 +791,12 @@ mod tests {
         }
         let report = backend.hot_report().expect("SF trees sample accesses");
         assert!(report.sampled_mass < u64::MAX); // shape check: merged fields exist
+
+        // The NRtree is an `SfTree` too: it samples, it just never rotates.
+        assert!(Backend::build("nrtree", StmConfig::ctl())
+            .unwrap()
+            .hot_report()
+            .is_some());
         assert!(Backend::build("rbtree", StmConfig::ctl())
             .unwrap()
             .hot_report()

@@ -104,9 +104,14 @@ impl WorkloadResult {
     }
 }
 
-/// Insert `config.initial_size` distinct keys drawn uniformly from the key
-/// range through one session (single-threaded, before the measured phase).
+/// Fill the map through `session` until it holds
+/// `min(initial_size, key_range)` live keys, inserting keys drawn uniformly
+/// from the key range (single-threaded, before the measured phase). The
+/// target is a live count, not a number of effective inserts, so a map
+/// that starts non-empty — e.g. recovered from a reopened `+wal` directory —
+/// never asks for more free keys than the range holds.
 fn populate_session(session: &mut dyn MapSession, config: &WorkloadConfig) {
+    let target = config.initial_size.min(config.key_range as usize);
     let mut gen = KeyGen::new(
         config.seed ^ 0xb0b0_b0b0,
         0xffff,
@@ -115,34 +120,23 @@ fn populate_session(session: &mut dyn MapSession, config: &WorkloadConfig) {
         0.0,
         None,
     );
-    let mut inserted = 0usize;
-    while inserted < config.initial_size.min(config.key_range as usize) {
+    let mut live = session.len();
+    while live < target {
         let key = gen.uniform_key();
         if session.insert(key, key) {
-            inserted += 1;
+            live += 1;
         }
     }
 }
 
-/// Insert `config.initial_size` distinct keys drawn uniformly from the key
-/// range (single-threaded, before the measured phase).
-pub fn populate<M: TxMap>(stm: &Arc<Stm>, map: &M, config: &WorkloadConfig) {
-    let mut handle = map.register(stm.register());
-    let mut gen = KeyGen::new(
-        config.seed ^ 0xb0b0_b0b0,
-        0xffff,
-        config.key_range,
-        0.0,
-        0.0,
-        None,
-    );
-    let mut inserted = 0usize;
-    while inserted < config.initial_size.min(config.key_range as usize) {
-        let key = gen.uniform_key();
-        if map.insert(&mut handle, key, key) {
-            inserted += 1;
-        }
-    }
+/// [`populate_backend`] for a caller-owned `(stm, map)` pair.
+pub fn populate<M>(stm: &Arc<Stm>, map: &Arc<M>, config: &WorkloadConfig)
+where
+    M: TxMap + 'static,
+    M::Handle: Send + 'static,
+{
+    let backend = Backend::from_parts(Arc::clone(map), vec![Arc::clone(stm)]);
+    populate_backend(&backend, config);
 }
 
 /// Populate a registry-built backend (single-threaded).
@@ -336,7 +330,7 @@ where
     M: TxMap + Send + Sync + 'static,
     M::Handle: Send + 'static,
 {
-    populate(stm, map.as_ref(), config);
+    populate(stm, map, config);
     run_workload(stm, map, config)
 }
 
@@ -486,6 +480,49 @@ mod tests {
             matched,
             "some sftree-opt+wal dir must recover to the live contents"
         );
+    }
+
+    #[test]
+    fn populate_tops_up_a_reopened_durable_map_instead_of_hanging() {
+        let dir = sf_persist::TempDir::new("populate-reopen");
+        let config = WorkloadConfig {
+            initial_size: 384,
+            key_range: 512,
+            ..WorkloadConfig::smoke_test()
+        };
+        let open = || {
+            let stm = Stm::default_config();
+            let tree = Arc::new(OptSpecFriendlyTree::new());
+            let (map, _) = sf_persist::DurableMap::open(
+                tree,
+                &stm,
+                dir.path(),
+                sf_persist::WalOptions::default(),
+            )
+            .unwrap();
+            (stm, Arc::new(map))
+        };
+        let (stm, map) = open();
+        populate(&stm, &map, &config);
+        assert_eq!(map.len_quiescent(), 384);
+        drop(map);
+        // The recovered map already holds 384 of the 512 keys, so 384 more
+        // effective inserts do not exist; populate must stop at the live
+        // target. The thread and timeout turn a hang into a failure.
+        let (stm, map) = open();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = {
+            let map = Arc::clone(&map);
+            std::thread::spawn(move || {
+                populate(&stm, &map, &config);
+                done_tx.send(()).unwrap();
+            })
+        };
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("populating a reopened map must finish");
+        worker.join().unwrap();
+        assert_eq!(map.len_quiescent(), 384);
     }
 
     #[test]

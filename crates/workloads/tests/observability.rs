@@ -1,12 +1,15 @@
 //! Cross-layer observability invariants under real 4-thread contention:
 //! the abort-cause taxonomy must partition the abort total exactly, and the
 //! sampled latency histograms must capture the measured phase, on both
-//! speculation-friendly tree variants.
+//! speculation-friendly tree variants. Whether the loaded run conflicts at
+//! all is up to the scheduler, so a hand-interleaved conflict makes the
+//! partition check non-vacuous.
 
-use sf_stm::StmConfig;
+use sf_stm::{StatsSnapshot, Stm, StmConfig};
+use sf_tree::{FindSpec, OptimizedFind, PortableFind, SfTree, TxMap, TxMapInTx};
 use sf_workloads::{populate_and_run_backend, Backend, RunLength, WorkloadConfig};
 
-/// A small, update-heavy, scan-mixing shape that reliably produces
+/// A small, update-heavy, scan-mixing shape that usually produces
 /// conflicts at 4 threads while staying fast enough for CI.
 fn contended_config() -> WorkloadConfig {
     WorkloadConfig::paper_default()
@@ -25,36 +28,68 @@ fn run_contended(name: &str) -> sf_workloads::WorkloadResult {
     populate_and_run_backend(&backend, &contended_config())
 }
 
+/// The abort-cause counters partition the abort total exactly, and the
+/// legacy aggregate views agree with the taxonomy.
+fn assert_causes_partition_aborts(name: &str, stm: &StatsSnapshot) {
+    let causes = stm.abort_read_validation
+        + stm.abort_lock_conflict
+        + stm.abort_combiner
+        + stm.abort_explicit
+        + stm.abort_scan_validation;
+    assert_eq!(
+        causes,
+        stm.aborts,
+        "{name}: cause counters must sum exactly to the abort total \
+         (read_validation={} lock_conflict={} combiner={} explicit={} \
+         scan_validation={} aborts={})",
+        stm.abort_read_validation,
+        stm.abort_lock_conflict,
+        stm.abort_combiner,
+        stm.abort_explicit,
+        stm.abort_scan_validation,
+        stm.aborts,
+    );
+    assert_eq!(stm.abort_scan_validation, stm.scan_aborts, "{name}");
+    assert!(stm.abort_explicit <= stm.explicit_aborts, "{name}");
+}
+
 #[test]
 fn abort_causes_partition_the_abort_total_on_both_sf_trees() {
     for name in ["sftree", "sftree-opt"] {
-        let result = run_contended(name);
-        let stm = &result.stm;
-        let causes = stm.abort_read_validation
-            + stm.abort_lock_conflict
-            + stm.abort_combiner
-            + stm.abort_explicit
-            + stm.abort_scan_validation;
-        assert_eq!(
-            causes,
-            stm.aborts,
-            "{name}: cause counters must sum exactly to the abort total \
-             (read_validation={} lock_conflict={} combiner={} explicit={} \
-             scan_validation={} aborts={})",
-            stm.abort_read_validation,
-            stm.abort_lock_conflict,
-            stm.abort_combiner,
-            stm.abort_explicit,
-            stm.abort_scan_validation,
-            stm.aborts,
-        );
-        // This shape contends hard enough that the taxonomy is non-trivial:
-        // a zero abort total would make the partition check vacuous.
-        assert!(stm.aborts > 0, "{name}: expected conflicts at 4 threads");
-        // The legacy aggregate views stay consistent with the taxonomy.
-        assert_eq!(stm.abort_scan_validation, stm.scan_aborts, "{name}");
-        assert!(stm.abort_explicit <= stm.explicit_aborts, "{name}");
+        assert_causes_partition_aborts(name, &run_contended(name).stm);
     }
+}
+
+/// Handle A reads key 1; inside A's first attempt, handle B commits a
+/// delete of key 1 (a write to the `del` flag A read); A then inserts, so
+/// its commit must validate the stale read and abort once.
+fn forced_conflict<F: FindSpec>() {
+    let stm = Stm::new(StmConfig::ctl());
+    let tree = SfTree::<F>::new();
+    let mut a = tree.register(stm.register());
+    let mut b = tree.register(stm.register());
+    assert!(tree.insert(&mut a, 1, 10));
+    stm.reset_stats();
+    let mut attempts = 0;
+    let inserted = a.ctx_mut().atomically(|tx| {
+        attempts += 1;
+        tree.tx_get(tx, 1)?;
+        if attempts == 1 {
+            assert!(tree.delete(&mut b, 1));
+        }
+        tree.tx_insert(tx, 2, 20)
+    });
+    assert!(inserted);
+    assert_eq!(attempts, 2, "{}: the first attempt must abort", F::LABEL);
+    let stats = stm.stats();
+    assert!(stats.aborts >= 1, "{}: no abort recorded", F::LABEL);
+    assert_causes_partition_aborts(F::LABEL, &stats);
+}
+
+#[test]
+fn a_forced_conflict_aborts_and_its_cause_is_counted_on_both_sf_trees() {
+    forced_conflict::<PortableFind>();
+    forced_conflict::<OptimizedFind>();
 }
 
 #[test]

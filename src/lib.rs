@@ -62,12 +62,13 @@
 //! Every backend also exposes the *ordered* structure of the map:
 //! [`TxMap::range_collect`](tree::TxMap::range_collect) /
 //! [`TxMap::len`](tree::TxMap::len) run as read-only scan transactions at
-//! the top level, and the single-STM backends additionally implement the
-//! in-transaction extension ([`TxOrderedMapInTx`](tree::TxOrderedMapInTx):
-//! min/max, successor, range folds — not the sharded compositions, whose
-//! per-shard STM instances cannot share one transaction). On the
-//! speculation-friendly trees the scan skips nodes that are logically
-//! deleted but not yet removed by the maintenance thread:
+//! the top level, and the single-STM backends offer the same scans inside a
+//! caller's transaction through [`TxMapInTx`](tree::TxMapInTx) (min/max,
+//! successor, range folds next to the point operations — not the sharded
+//! compositions, whose per-shard STM instances cannot share one
+//! transaction). On the speculation-friendly trees the scan skips nodes
+//! that are logically deleted but not yet removed by the maintenance
+//! thread:
 //!
 //! ```
 //! use speculation_friendly_tree::prelude::*;
@@ -137,7 +138,7 @@ pub mod prelude {
     pub use sf_stm::{Stm, StmConfig, TCell, ThreadCtx, Transaction, TxKind, TxResult};
     pub use sf_tree::{
         MaintenanceConfig, OptSpecFriendlyTree, ScanOrder, ShardedHandle, ShardedMap,
-        SpecFriendlyTree, TxMap, TxMapInTx, TxMapVersioned, TxOrderedMapInTx,
+        SpecFriendlyTree, TxMap, TxMapInTx, TxMapVersioned,
     };
     pub use sf_vacation::{Manager, ReservationKind, VacationParams};
     pub use sf_workloads::{RunLength, WorkloadConfig};

@@ -162,3 +162,62 @@ fn optimized_tree_with_maintenance_matches_oracle() {
     assert_eq!(contents, expected_contents);
     tree.inspect().check_consistency().unwrap();
 }
+
+/// The top-level operations are written once over
+/// [`TxMapVersioned::transact`]; this pins the transaction kind each one
+/// runs in. Scans (`range_collect`, `len`, `snapshot_versioned`) are one
+/// read-only transaction each — exactly one `scan_commits` — while point
+/// operations run in the default kind and add none; and a versioned insert
+/// commits at the version the next snapshot reports.
+fn check_transaction_kinds<M: TxMapVersioned + Default>() {
+    let stm = Stm::new(StmConfig::ctl());
+    let map = M::default();
+    let mut h = map.register(stm.register());
+    let scans = || stm.stats().scan_commits;
+
+    let before = scans();
+    assert!(map.insert(&mut h, 1, 10));
+    assert!(map.contains(&mut h, 1));
+    assert_eq!(map.get(&mut h, 1), Some(10));
+    assert!(map.move_entry(&mut h, 1, 2));
+    assert!(!map.delete_if(&mut h, 2, 99));
+    assert!(map.delete(&mut h, 2));
+    assert_eq!(scans(), before, "{}: point operations", M::LABEL);
+
+    type Scan<M> = fn(&M, &mut <M as TxMapVersioned>::Handle) -> usize;
+    let scan_ops: [(&str, Scan<M>); 3] = [
+        ("range_collect", |m, h| m.range_collect(h, 0..=100).len()),
+        ("len", |m, h| m.len(h)),
+        ("snapshot_versioned", |m, h| m.snapshot_versioned(h).0.len()),
+    ];
+    for (op, scan) in scan_ops {
+        let before = scans();
+        assert_eq!(scan(&map, &mut h), 0, "{}: {op}", M::LABEL);
+        assert_eq!(scans(), before + 1, "{}: {op}", M::LABEL);
+    }
+
+    let (inserted, version) = map.atomically_versioned(&mut h, |m, tx| m.tx_insert(tx, 7, 70));
+    assert!(inserted);
+    let (entries, snapshot) = map.snapshot_versioned(&mut h);
+    assert_eq!(entries, vec![(7, 70)], "{}", M::LABEL);
+    assert_eq!(snapshot, version, "{}: snapshot version", M::LABEL);
+    assert!(map.insert(&mut h, 8, 80));
+    let (_, after) = map.snapshot_versioned(&mut h);
+    assert!(after > version, "{}: a top-level insert commits", M::LABEL);
+}
+
+#[test]
+fn top_level_operations_keep_their_transaction_kind() {
+    // sftree, sftree-opt, rbtree, avl, ziptree, nrtree.
+    let cases: [fn(); 6] = [
+        check_transaction_kinds::<SpecFriendlyTree>,
+        check_transaction_kinds::<OptSpecFriendlyTree>,
+        check_transaction_kinds::<RedBlackTree>,
+        check_transaction_kinds::<AvlTree>,
+        check_transaction_kinds::<ZipTree>,
+        check_transaction_kinds::<NoRestructureTree>,
+    ];
+    for check in cases {
+        check();
+    }
+}
